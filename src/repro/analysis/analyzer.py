@@ -56,31 +56,57 @@ __all__ = [
     "analyze_variant",
     "analyze_specs",
     "clear_cache",
+    "span_dims",
 ]
 
 #: loop trip counts at or above this are "long": a work-group that cannot
 #: abort inside the loop holds its device for the whole trip (§6.4)
 LONG_LOOP_ITERS = 16
 
-#: memoized facts per body function (kernel factories rebuild specs per
-#: call, but reuse module-level body functions)
+#: memoized facts per body (kernel factories rebuild specs per call, but
+#: reuse module-level body functions or re-create closures over the same
+#: code — see :func:`_facts_key`)
 _FACTS_CACHE: Dict[object, KernelFacts] = {}
+
+#: memoized :func:`span_dims` verdicts per (facts key, argument specs)
+_SPAN_CACHE: Dict[object, Optional[frozenset]] = {}
+
+
+def _facts_key(body) -> object:
+    """Cache key under which ``body``'s facts are stable.
+
+    Facts depend on a function's code, module globals and closure cells —
+    not on the function object — so closures a factory re-creates per
+    call (the merge kernel's accounting hook, 3MM's per-stage bodies)
+    share one entry when their cell contents match.
+    """
+    code = getattr(body, "__code__", None)
+    if code is None:
+        return body
+    try:
+        cells = tuple(cell.cell_contents for cell in body.__closure__ or ())
+        hash(cells)
+    except (TypeError, ValueError):  # unhashable or empty cell: identity
+        return body
+    return code, cells
 
 
 def _facts_for(body) -> KernelFacts:
+    key = _facts_key(body)
     try:
-        cached = _FACTS_CACHE.get(body)
+        cached = _FACTS_CACHE.get(key)
     except TypeError:  # unhashable callable
         return extract_facts(body)
     if cached is None:
         cached = extract_facts(body)
-        _FACTS_CACHE[body] = cached
+        _FACTS_CACHE[key] = cached
     return cached
 
 
 def clear_cache() -> None:
     """Drop memoized body facts (tests redefine bodies dynamically)."""
     _FACTS_CACHE.clear()
+    _SPAN_CACHE.clear()
 
 
 def _loc(facts: KernelFacts, line: int) -> Optional[SourceLocation]:
@@ -313,6 +339,55 @@ def _abort_findings(spec: KernelSpec, facts: Optional[KernelFacts],
             hint="set WorkGroupCost.loop_iters to the real trip count",
         ))
     return findings
+
+
+# ---------------------------------------------------------------------------
+# span dispatch
+# ---------------------------------------------------------------------------
+#: context queries a :class:`~repro.kernels.dsl.WorkGroupSpan` widens to the
+#: whole box; ``group_id``/``num_groups``/``local_size`` are not widened
+SPAN_GEOMETRY = frozenset({"item_range", "rows", "cols"})
+
+
+def span_dims(spec: KernelSpec) -> Optional[frozenset]:
+    """The NDRange dims a box of ``spec``'s work-groups may span; None
+    when the body is not *span-safe*.
+
+    A body may run a whole box of work-groups in one call when its
+    per-group updates are tile-disjoint and each is expressed through
+    the tile geometry a box widens:
+
+    * the analyzer can read it: the body is analyzable, the context never
+      escapes into code the analysis cannot see, and every buffer the
+      spec declares written has a visible write;
+    * it has no work-group race (no FK201–FK203 finding);
+    * every tile index comes from ``item_range``/``rows``/``cols``
+      (:data:`SPAN_GEOMETRY`) — a raw ``ctx.group_id[d]`` stays one
+      group's ID on a box, so such bodies keep per-group dispatch.
+
+    Returns the body's tile dims (a box may only span an NDRange dim the
+    body tiles on).  The verdict is memoized per body through the facts
+    cache, so launches never re-parse a body.
+    """
+    key = (_facts_key(spec.body), spec.args)
+    try:
+        return _SPAN_CACHE[key]
+    except KeyError:
+        pass
+    except TypeError:  # unhashable body or argument
+        key = None
+    facts = _facts_for(spec.body)
+    safe = (
+        facts.analyzable
+        and not facts.ctx_escapes
+        and facts.ctx_attrs <= SPAN_GEOMETRY
+        and all(facts.writes(arg.name) for arg in spec.out_args)
+        and not _race_findings(spec, facts)
+    )
+    verdict = frozenset(facts.tile_dims) if safe else None
+    if key is not None:
+        _SPAN_CACHE[key] = verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ module turns such a function into a set of *facts* the rule engine in
   writes), with each subscript axis classified against the group's tile;
 * the NDRange **dimensions the body partitions on** (which
   ``ctx.item_range``/``rows``/``cols``/``group_id`` dimensions it queries);
-* explicit Python **loops** in the body.
+* explicit Python **loops** in the body;
+* every **context attribute** the body queries (``item_range``,
+  ``group_id``, ``num_groups``, ...) and whether the context object
+  *escapes* — is used other than as ``ctx[...]`` or ``ctx.<attr>``, e.g.
+  passed to a helper whose accesses the analysis cannot see.  The
+  span-dispatch verdict (:func:`repro.analysis.analyzer.span_dims`) is
+  built on these two facts.
 
 The tile classification is the static core of the work-group race
 detector: an axis is ``TILE(d)`` when its index expression provably covers
@@ -116,6 +122,10 @@ class KernelFacts:
     tile_dims: Set[int] = field(default_factory=set)
     #: ``ctx[<expr>]`` keys that could not be resolved to a string
     unresolved_keys: List[Tuple[str, int]] = field(default_factory=list)
+    #: attribute names the body reads off the context (``ctx.<name>``)
+    ctx_attrs: Set[str] = field(default_factory=set)
+    #: the context is used as a bare value (passed on, stored, returned)
+    ctx_escapes: bool = False
 
     def reads(self, buffer: Optional[str] = None) -> List[BufferAccess]:
         return [a for a in self.accesses if a.mode is AccessMode.READ
@@ -427,7 +437,17 @@ class _BodyVisitor(ast.NodeVisitor):
         self._tile_call_value(node)  # register geometry queries
         self.generic_visit(node)
 
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.value, ast.Name) and node.value.id == self.ctx:
+            self.facts.ctx_attrs.add(node.attr)
+            return
+        self.generic_visit(node)
+
     def visit_Name(self, node: ast.Name) -> None:
+        # every ctx[...] / ctx.<attr> use is consumed before reaching here
+        if node.id == self.ctx:
+            self.facts.ctx_escapes = True
+            return
         # a whole-variable use of a buffer alias is a whole-variable read
         if isinstance(node.ctx, ast.Load):
             alias = self.env.get(node.id)

@@ -46,6 +46,7 @@ from repro.kernels.dsl import KernelSpec
 from repro.kernels.transforms import gpu_fluidic_variant, plain_variant
 from repro.ocl.buffer import Buffer
 from repro.ocl.enums import MemFlag
+from repro.ocl.events import CLEvent
 from repro.ocl.executor import LaunchConfig, StatusBoard
 from repro.ocl.health import DeviceLostError
 from repro.ocl.kernel import Kernel
@@ -816,13 +817,14 @@ class FluidiCLRuntime(AbstractRuntime):
         record = plan.record
         record.cpu_groups = plan.board.cpu_completed_groups
 
+        merges: List[CLEvent] = []
         if plan.board.cpu_completed_groups > 0:
             contributors = plan.ledger.credited_contributors(
                 plan.board.frontier
             )
             for front_index in contributors:
                 for fbuf in plan.out_fbuffers:
-                    self._enqueue_merge(plan, fbuf, front_index)
+                    merges.append(self._enqueue_merge(plan, fbuf, front_index))
                     self.engine.trace(
                         "merge_enqueued", kernel_id=plan.kernel_id,
                         buffer=fbuf.name,
@@ -854,6 +856,13 @@ class FluidiCLRuntime(AbstractRuntime):
         commit_done = self.app_queue.finish_event()
         self._pending_commits.append(commit_done)
         self.machine.run_until(commit_done)
+        # Each merge reports its byte accounting from a done-callback.  The
+        # read-back copies normally keep the marker behind those callbacks,
+        # but on a lost anchor every queued command cancels in the same
+        # instant and the interleave jitter may process the marker first:
+        # drain the reports so none lands after ``kernel_end``.
+        for merge_event in merges:
+            self.machine.run_until(merge_event.done)
         for fbuf in plan.out_fbuffers:
             fbuf.commit_gpu(plan.kernel_id)
             fbuf.dh_pending = True
@@ -865,7 +874,7 @@ class FluidiCLRuntime(AbstractRuntime):
         self._release_helpers_after_hd_drain(plan)
 
     def _enqueue_merge(self, plan: _KernelPlan, fbuf: FluidiBuffer,
-                       front_index: int) -> None:
+                       front_index: int) -> CLEvent:
         count = int(np.prod(fbuf.shape, dtype=np.int64))
         merged_bytes: List[int] = []
         merge_spec = build_merge_kernel(fbuf.nbytes, fbuf.dtype.itemsize,
@@ -894,6 +903,7 @@ class FluidiCLRuntime(AbstractRuntime):
             )
 
         merge_event.done.add_callback(report)
+        return merge_event
 
     def _spawn_dh_thread(self, plan: _KernelPlan, readback: Dict[str, Buffer]) -> None:
         """Device-to-host thread (§5.6), one per kernel, runs in background."""

@@ -123,16 +123,18 @@ class WorkGroupContext:
 
 
 class WorkGroupSpan(WorkGroupContext):
-    """A contiguous run of dimension-0 work-groups executed as one call.
+    """An axis-aligned box of work-groups executed as one body call.
 
-    For a :class:`KernelSpec` declared ``span_safe`` on a 1-D NDRange the
-    executor hands the body one span covering ``group_count`` consecutive
-    groups instead of ``group_count`` separate contexts: ``item_range(0)``
-    (and therefore ``rows()``) widens to the whole run, so a row-local
-    NumPy body computes the identical update in one vectorized call.
+    ``group_id`` is the box's lowest corner and ``group_counts`` its extent
+    in groups along every NDRange dimension.  ``item_range(d)`` (and so
+    ``rows()``/``cols()``) widens to the whole box on every dimension, so a
+    body whose tile indices all come from those queries computes the union
+    of its per-group updates in one vectorized NumPy call.  ``group_id``
+    is *not* widened: bodies indexing through it keep per-group dispatch
+    (see ``repro.analysis.analyzer.span_dims`` and ``Kernel.run_span``).
     """
 
-    __slots__ = ("group_count",)
+    __slots__ = ("group_counts",)
 
     def __init__(
         self,
@@ -140,17 +142,14 @@ class WorkGroupSpan(WorkGroupContext):
         num_groups: Tuple[int, ...],
         local_size: Tuple[int, ...],
         args: Mapping[str, Any],
-        group_count: int = 1,
+        group_counts: Tuple[int, ...],
     ):
         super().__init__(group_id, num_groups, local_size, args)
-        self.group_count = group_count
+        self.group_counts = group_counts
 
     def item_range(self, dim: int = 0) -> Tuple[int, int]:
         start = self.group_id[dim] * self.local_size[dim]
-        width = self.local_size[dim]
-        if dim == 0:
-            width *= self.group_count
-        return start, start + width
+        return start, start + self.local_size[dim] * self.group_counts[dim]
 
 
 BodyFn = Callable[[WorkGroupContext], None]
@@ -168,12 +167,6 @@ class KernelSpec:
     #: computation (paper section 6.6 online profiling), e.g. "baseline" /
     #: "loop-interchanged"
     version: str = "baseline"
-    #: the body is *row-local along dimension 0*: it touches only the item
-    #: rows of its own group (via ``ctx.rows()`` / ``ctx.item_range(0)``),
-    #: so on a 1-D NDRange a contiguous run of groups may be executed as
-    #: one :class:`WorkGroupSpan` — one vectorized NumPy call instead of
-    #: one Python call per group, with the identical data update
-    span_safe: bool = False
     #: optional per-work-group cost weights, indexed by *flattened* group
     #: ID (length must equal the launch NDRange's total_groups).  ``None``
     #: — the dense-polybench regime — keeps every group at ``cost``; a

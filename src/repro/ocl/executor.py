@@ -282,8 +282,18 @@ def _monitored_wave(engine, spec, board, t_wg, granularity, i, j):
 
 def _finish(device, kernel: Kernel, ndrange: NDRange, result: KernelRunResult,
             now: float) -> None:
+    # Adjacent waves coalesce into maximal contiguous runs: the same groups
+    # in the same order, in as few body dispatches as possible.
+    run_lo = run_hi = None
     for lo, hi in result.executed:
-        kernel.run_span(ndrange, lo, hi)
+        if lo == run_hi:
+            run_hi = hi
+            continue
+        if run_hi is not None:
+            kernel.run_span(ndrange, run_lo, run_hi)
+        run_lo, run_hi = lo, hi
+    if run_hi is not None:
+        kernel.run_span(ndrange, run_lo, run_hi)
     device.stats["workgroups_executed"] += result.executed_groups
     device.stats["workgroups_aborted"] += result.aborted_groups
     result.end_time = now

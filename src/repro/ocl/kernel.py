@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
+from repro.analysis.analyzer import span_dims
 from repro.hw.cost import wg_time
 from repro.hw.specs import DeviceSpec
 from repro.kernels.dsl import (
@@ -93,28 +94,30 @@ class Kernel:
     def run_span(self, ndrange: NDRange, lo: int, hi: int) -> None:
         """Execute the bodies for flattened work-group IDs ``[lo, hi)``.
 
-        Argument resolution happens once for the whole span instead of per
-        work-group, and the context object is reused across groups.  A
-        ``span_safe`` kernel on a 1-D NDRange runs the entire contiguous
-        run as a single vectorized :class:`WorkGroupSpan` call.
+        A *span-safe* body (derived from the analyzer's facts, see
+        :func:`repro.analysis.analyzer.span_dims`) runs once per
+        axis-aligned box of the window (:meth:`NDRange.boxes`: one box in
+        1-D, at most ``2 * rank - 1`` in general) through a
+        :class:`WorkGroupSpan`.  Any other body runs once per work-group,
+        in flattened order, with argument resolution hoisted out of the
+        loop and the context object reused across groups.
         """
         if hi <= lo:
             return
         spec = self.spec
-        resolved = self._resolved_args()
-        if spec.span_safe and len(ndrange.num_groups) == 1:
-            spec.body(WorkGroupSpan(
-                group_id=(lo,),
-                num_groups=ndrange.num_groups,
-                local_size=ndrange.local_size,
-                args=resolved,
-                group_count=hi - lo,
-            ))
-            return
         body = spec.body
+        resolved = self._resolved_args()
+        num_groups = ndrange.num_groups
+        dims = span_dims(spec)
+        if dims is not None and all(
+                n == 1 or d in dims for d, n in enumerate(num_groups)):
+            for origin, counts in ndrange.boxes(lo, hi):
+                body(WorkGroupSpan(origin, num_groups, ndrange.local_size,
+                                   resolved, counts))
+            return
         ctx = WorkGroupContext(
             group_id=ndrange.unflatten_group(lo),
-            num_groups=ndrange.num_groups,
+            num_groups=num_groups,
             local_size=ndrange.local_size,
             args=resolved,
         )

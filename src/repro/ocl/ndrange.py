@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 __all__ = ["NDRange"]
 
@@ -104,6 +104,48 @@ class NDRange:
         """Group IDs for flattened IDs in ``[fid_start, fid_end)``."""
         for fid in range(fid_start, fid_end):
             yield self.unflatten_group(fid)
+
+    def boxes(self, fid_start: int, fid_end: int
+              ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Split a flattened window into axis-aligned boxes of groups.
+
+        Returns ``(origin, counts)`` pairs in flattened order: the box's
+        lowest group ID and its extent in groups per dimension.  Because
+        dimension 0 varies fastest, a window is a partial hyper-row, a
+        block of whole hyper-rows and a partial hyper-row, each split the
+        same way one dimension down: at most ``2 * rank - 1`` boxes (a
+        1-D window is one box; 2-D: partial row, full rows, partial row).
+        """
+        if not 0 <= fid_start < fid_end <= self.total_groups:
+            raise ValueError(
+                f"bad window [{fid_start}, {fid_end}) for {self.total_groups} groups"
+            )
+        out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        self._boxes(fid_start, fid_end, self.rank - 1, (), out)
+        return out
+
+    def _boxes(self, lo: int, hi: int, dim: int, origin: Tuple[int, ...],
+               out: list) -> None:
+        """Boxes of ``[lo, hi)``, flattened over dims ``0..dim`` inside the
+        hyper-row whose slower-dim group IDs are ``origin``."""
+        ones = (1,) * len(origin)
+        if dim == 0:
+            out.append(((lo,) + origin, (hi - lo,) + ones))
+            return
+        stride = self._strides[dim]
+        first, head = divmod(lo, stride)
+        last, tail = divmod(hi, stride)
+        if first == last:
+            self._boxes(head, tail, dim - 1, (first,) + origin, out)
+            return
+        if head:
+            self._boxes(head, stride, dim - 1, (first,) + origin, out)
+            first += 1
+        if last > first:
+            out.append(((0,) * dim + (first,) + origin,
+                        self.num_groups[:dim] + (last - first,) + ones))
+        if tail:
+            self._boxes(0, tail, dim - 1, (last,) + origin, out)
 
     # -- subkernel slices (paper Fig. 10) -----------------------------------
     def covering_slice(self, fid_start: int, fid_end: int) -> "NDRange":

@@ -43,7 +43,10 @@ def _atax1_body(ctx) -> None:
 
 def _atax2_body(ctx) -> None:
     cols = ctx.rows()
-    ctx["y"][cols] = ctx["A"][:, cols].T @ ctx["tmp"]
+    # einsum, not ``A[:, cols].T @ v``: BLAS gemv rounds a column depending
+    # on the block width, einsum's ordered loop does not (DESIGN.md,
+    # "Span dispatch").
+    ctx["y"][cols] = np.einsum("ij,i->j", ctx["A"][:, cols], ctx["tmp"])
 
 
 def atax_kernel1(n: int) -> KernelSpec:

@@ -46,7 +46,10 @@ def _bicg1_body(ctx) -> None:
 
 def _bicg2_body(ctx) -> None:
     cols = ctx.rows()  # dim 0 indexes output columns for this kernel
-    ctx["s"][cols] = ctx["A"][:, cols].T @ ctx["r"]
+    # einsum, not ``A[:, cols].T @ v``: BLAS gemv rounds a column depending
+    # on the block width, einsum's ordered loop does not (DESIGN.md,
+    # "Span dispatch").
+    ctx["s"][cols] = np.einsum("ij,i->j", ctx["A"][:, cols], ctx["r"])
 
 
 def bicg_kernel1(n: int) -> KernelSpec:
@@ -56,8 +59,6 @@ def bicg_kernel1(n: int) -> KernelSpec:
         args=(buffer_arg("A"), buffer_arg("p"), buffer_arg("q", Intent.OUT)),
         body=_bicg1_body,
         cost=_row_streaming_cost(n, gpu_mem=0.10, cpu_mem=0.28),
-        # Row-local along dim 0 (writes only q[ctx.rows()]).
-        span_safe=True,
     )
 
 
@@ -68,8 +69,6 @@ def bicg_kernel2(n: int) -> KernelSpec:
         args=(buffer_arg("A"), buffer_arg("r"), buffer_arg("s", Intent.OUT)),
         body=_bicg2_body,
         cost=_row_streaming_cost(n, gpu_mem=0.02, cpu_mem=0.25),
-        # Dim 0 indexes output columns of s; still row-local in span terms.
-        span_safe=True,
     )
 
 

@@ -62,8 +62,9 @@ def _corr_body(ctx) -> None:
     c0, c1 = ctx.item_range(0)
     r0, r1 = ctx.item_range(1)
     left = ctx["data"][:, r0:r1]
-    right = ctx["data"][:, c0:c1]
-    ctx["corr"][r0:r1, c0:c1] = left.T @ right
+    # Whole output rows, then this box's columns: BLAS rounding depends on
+    # the call shape, this form does not (DESIGN.md, "Span dispatch").
+    ctx["corr"][r0:r1, c0:c1] = (left.T @ ctx["data"])[:, c0:c1]
 
 
 def mean_kernel(m: int) -> KernelSpec:

@@ -23,9 +23,11 @@ __all__ = ["GemmApp", "gemm_kernel"]
 def _gemm_body(ctx) -> None:
     c0, c1 = ctx.item_range(0)
     r0, r1 = ctx.item_range(1)
+    # Whole output rows, then this box's columns: BLAS rounding depends on
+    # the call shape, this form does not (DESIGN.md, "Span dispatch").
     ctx["C"][r0:r1, c0:c1] = (
         ctx["beta"] * ctx["C"][r0:r1, c0:c1]
-        + ctx["alpha"] * (ctx["A"][r0:r1, :] @ ctx["B"][:, c0:c1])
+        + ctx["alpha"] * (ctx["A"][r0:r1, :] @ ctx["B"])[:, c0:c1]
     )
 
 

@@ -57,9 +57,6 @@ def gesummv_kernel(n: int, rows_per_group: int = ROWS_PER_GROUP) -> KernelSpec:
             memory_efficiency={"cpu": 0.30, "gpu": 0.012},
             no_unroll_penalty=1.30,
         ),
-        # The body touches only ctx.rows() of y (and reads full A/B/x):
-        # contiguous group runs execute as one vectorized span.
-        span_safe=True,
     )
 
 

@@ -42,7 +42,11 @@ def _mvt1_body(ctx) -> None:
 
 def _mvt2_body(ctx) -> None:
     cols = ctx.rows()
-    ctx["x2"][cols] = ctx["x2"][cols] + ctx["A"][:, cols].T @ ctx["y2"]
+    # einsum, not ``A[:, cols].T @ v``: BLAS gemv rounds a column depending
+    # on the block width, einsum's ordered loop does not (DESIGN.md,
+    # "Span dispatch").
+    ctx["x2"][cols] = ctx["x2"][cols] + np.einsum(
+        "ij,i->j", ctx["A"][:, cols], ctx["y2"])
 
 
 def mvt_kernel1(n: int) -> KernelSpec:

@@ -28,11 +28,11 @@ def _syr2k_body(ctx) -> None:
     r0, r1 = ctx.item_range(1)
     a_rows = ctx["A"][r0:r1, :]
     b_rows = ctx["B"][r0:r1, :]
-    a_cols = ctx["A"][c0:c1, :]
-    b_cols = ctx["B"][c0:c1, :]
+    # Whole output rows, then this box's columns: BLAS rounding depends on
+    # the call shape, this form does not (DESIGN.md, "Span dispatch").
     ctx["C"][r0:r1, c0:c1] = (
         ctx["beta"] * ctx["C"][r0:r1, c0:c1]
-        + ctx["alpha"] * (a_rows @ b_cols.T + b_rows @ a_cols.T)
+        + ctx["alpha"] * (a_rows @ ctx["B"].T + b_rows @ ctx["A"].T)[:, c0:c1]
     )
 
 

@@ -27,7 +27,8 @@ def _make_mm_body(left: str, right: str, out: str):
     def body(ctx) -> None:
         c0, c1 = ctx.item_range(0)
         r0, r1 = ctx.item_range(1)
-        ctx[out][r0:r1, c0:c1] = ctx[left][r0:r1, :] @ ctx[right][:, c0:c1]
+        # Whole output rows, then this box's columns (see twomm).
+        ctx[out][r0:r1, c0:c1] = (ctx[left][r0:r1, :] @ ctx[right])[:, c0:c1]
 
     return body
 

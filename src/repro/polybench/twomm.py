@@ -51,9 +51,11 @@ def _mm1_body(ctx) -> None:
     # dim 0 (fastest) indexes output columns, dim 1 output rows
     c0, c1 = ctx.item_range(0)
     r0, r1 = ctx.item_range(1)
+    # Whole output rows, then this box's columns: BLAS rounding depends on
+    # the call shape, this form does not (DESIGN.md, "Span dispatch").
     ctx["tmp"][r0:r1, c0:c1] = ctx["alpha"] * (
-        ctx["A"][r0:r1, :] @ ctx["B"][:, c0:c1]
-    )
+        ctx["A"][r0:r1, :] @ ctx["B"]
+    )[:, c0:c1]
 
 
 def _mm2_body(ctx) -> None:
@@ -61,7 +63,7 @@ def _mm2_body(ctx) -> None:
     r0, r1 = ctx.item_range(1)
     ctx["D"][r0:r1, c0:c1] = (
         ctx["beta"] * ctx["D"][r0:r1, c0:c1]
-        + ctx["tmp"][r0:r1, :] @ ctx["C"][:, c0:c1]
+        + (ctx["tmp"][r0:r1, :] @ ctx["C"])[:, c0:c1]
     )
 
 

@@ -80,8 +80,6 @@ def bfs_expand_kernel() -> KernelSpec:
             # the adj[] gather is data-dependent: poor GPU coalescing
             memory_efficiency={"cpu": 0.25, "gpu": 0.10},
         ),
-        # Row-local along dim 0 (frontier rows).
-        span_safe=True,
     )
 
 
@@ -106,8 +104,6 @@ def bfs_update_kernel(n: int) -> KernelSpec:
             compute_efficiency={"cpu": 0.80, "gpu": 0.45},
             memory_efficiency={"cpu": 0.30, "gpu": 0.25},
         ),
-        # Row-local along dim 0 (node rows).
-        span_safe=True,
     )
 
 

@@ -72,8 +72,6 @@ def spmv_kernel(n: int,
             memory_efficiency={"cpu": 0.22, "gpu": 0.08},
             no_unroll_penalty=1.25,
         ),
-        # Row-local along dim 0: a span of groups computes the same rows.
-        span_safe=True,
         group_weights=group_weights,
     )
 

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.analysis import Severity, analyze_kernel
-from repro.analysis.analyzer import LONG_LOOP_ITERS, analyze_variant
+from repro.analysis.analyzer import (
+    LONG_LOOP_ITERS,
+    _facts_key,
+    analyze_variant,
+    span_dims,
+)
 from repro.hw.cost import WorkGroupCost
 from repro.kernels.dsl import Intent, KernelSpec, buffer_arg, scalar_arg
 from repro.kernels.transforms import gpu_fluidic_variant, plain_variant
@@ -245,3 +250,62 @@ class TestReportShape:
         from repro.analysis import rule
         with pytest.raises(KeyError):
             rule("FK999")
+
+
+def _group_id_body(ctx):
+    g = ctx.group_id[0]
+    lo, hi = ctx.item_range(0)
+    ctx["y"][lo:hi] = ctx["x"][lo:hi] + g
+
+
+def _escaping_body(ctx):
+    _clean_body(ctx)
+
+
+def _hidden_write_body(ctx):
+    rows = ctx.rows()
+    view = ctx["y"][rows]
+    view[:] = ctx["x"][rows]
+
+
+def _racy_body(ctx):
+    ctx["y"][0] = ctx["x"][ctx.rows()].sum()
+
+
+def _tile_2d_body(ctx):
+    c0, c1 = ctx.item_range(0)
+    r0, r1 = ctx.item_range(1)
+    ctx["y"][r0:r1, c0:c1] = ctx["x"][r0:r1, c0:c1]
+
+
+class TestSpanDims:
+    """Span-safety is derived from the body's facts, never declared."""
+
+    ARGS = (buffer_arg("x"), buffer_arg("y", Intent.OUT))
+
+    def test_tile_bodies_span_their_tile_dims(self):
+        assert span_dims(kernel(_clean_body, *self.ARGS)) == {0}
+        assert span_dims(kernel(_tile_2d_body, *self.ARGS)) == {0, 1}
+
+    @pytest.mark.parametrize("body", [
+        _group_id_body,     # a box does not widen group_id
+        _escaping_body,     # ctx handed to code the analysis cannot see
+        _hidden_write_body,  # the declared out buffer has no visible write
+        _racy_body,         # FK201
+        lambda ctx: None,   # not analyzable
+    ])
+    def test_unsafe_bodies_keep_per_group_dispatch(self, body):
+        assert span_dims(kernel(body, *self.ARGS)) is None
+
+    def test_verdict_is_shared_by_recreated_closures(self):
+        def make(out):
+            def body(ctx):
+                rows = ctx.rows()
+                ctx[out][rows] = ctx["x"][rows]
+            return body
+
+        first, second = make("y"), make("y")
+        assert first is not second
+        assert span_dims(kernel(first, *self.ARGS)) == {0}
+        assert span_dims(kernel(second, *self.ARGS)) == {0}
+        assert len({_facts_key(first), _facts_key(second)}) == 1

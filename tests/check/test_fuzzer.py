@@ -98,6 +98,18 @@ class TestRunConfig:
         assert result.outcome == "device-lost"
         assert not result.violations
 
+    def test_anchor_loss_under_merges_reports_every_merge(self):
+        # mvt@128 on cpu+2gpu: the anchor dies while two merges are queued.
+        # Every queued command then cancels in one instant, and the jitter
+        # once processed the commit marker before the second merge's
+        # report, so kernel_end saw "2 merges enqueued but only 1 reported".
+        config = ScheduleFuzzer(
+            machines=("default", "cpu+2gpu", "cpu+3gpu")).config(1981)
+        assert (config.app, config.machine) == ("mvt", "cpu+2gpu")
+        result = run_config(config)
+        assert result.outcome == "device-lost"
+        assert result.violations == []
+
     @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
     def test_known_bad_corruption_is_caught(self, kind):
         config = FuzzConfig(seed=0, app="gesummv", size=64, corruption=kind)

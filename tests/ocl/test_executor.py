@@ -58,6 +58,25 @@ class TestPlainExecution:
         expected = 3 * (gpu.spec.wave_overhead + t_wg)
         assert result.duration == pytest.approx(expected, rel=1e-6)
 
+    def test_waves_coalesce_into_one_body_call(self, machine, platform,
+                                               monkeypatch):
+        calls = []
+        run_span = Kernel.run_span
+
+        def recording(kernel, ndrange, lo, hi):
+            calls.append((lo, hi))
+            run_span(kernel, ndrange, lo, hi)
+
+        monkeypatch.setattr(Kernel, "run_span", recording)
+        gpu = platform.gpu
+        queue = platform.create_context().create_queue(gpu)
+        spec = make_scale_kernel(300 * 16)
+        event, y = launch(machine, gpu, queue, spec, 300 * 16)
+        machine.run_until(event.done)
+        assert event.result.waves == 3
+        assert calls == [(0, 300)]
+        assert np.all(y.array == 2.0)
+
     def test_cpu_uses_eight_slots(self, machine, platform):
         cpu = platform.cpu
         queue = platform.create_context().create_queue(cpu)

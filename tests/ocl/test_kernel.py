@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.hw.cost import WorkGroupCost
+from repro.kernels.dsl import Intent, KernelSpec, buffer_arg
 from repro.kernels.transforms import plain_variant
 from repro.ocl.kernel import Kernel
 from repro.ocl.ndrange import NDRange
@@ -99,3 +101,55 @@ def _dummy_args(platform, spec):
         "y": gpu.create_buffer((64,), np.float32),
         "alpha": 1.0,
     }
+
+
+BOX_CALLS = []
+
+
+def _box_body(ctx):
+    c0, c1 = ctx.item_range(0)
+    r0, r1 = ctx.item_range(1)
+    ctx["y"][r0:r1, c0:c1] = ctx["x"][r0:r1, c0:c1] * 2.0
+    BOX_CALLS.append(((r0, r1), (c0, c1)))
+
+
+def _group_body(ctx):
+    g = ctx.group_id
+    c0, c1 = ctx.item_range(0)
+    r0, r1 = ctx.item_range(1)
+    ctx["y"][r0:r1, c0:c1] = ctx["x"][r0:r1, c0:c1] + g[0]
+    BOX_CALLS.append(((r0, r1), (c0, c1)))
+
+
+class TestRunSpan:
+    """One body call per box for span-safe bodies, per group otherwise."""
+
+    @staticmethod
+    def run(platform, body, lo, hi):
+        spec = KernelSpec(
+            name="box", args=(buffer_arg("x"), buffer_arg("y", Intent.OUT)),
+            body=body, cost=WorkGroupCost(flops=1, bytes_read=1,
+                                          bytes_written=1))
+        gpu = platform.gpu
+        x = gpu.create_buffer((16, 16), np.float32)
+        y = gpu.create_buffer((16, 16), np.float32)
+        x.write_from(np.arange(256, dtype=np.float32).reshape(16, 16))
+        BOX_CALLS.clear()
+        Kernel(plain_variant(spec), {"x": x, "y": y}).run_span(
+            NDRange((16, 16), (4, 4)), lo, hi)
+        return y.array, list(BOX_CALLS)
+
+    def test_2d_window_runs_as_three_boxes(self, platform):
+        y, calls = self.run(platform, _box_body, 2, 13)  # 4 x 4 groups
+        assert calls == [((0, 4), (8, 16)), ((4, 12), (0, 16)),
+                         ((12, 16), (0, 4))]
+        expected = np.zeros((16, 16), dtype=np.float32)
+        doubled = np.arange(256, dtype=np.float32).reshape(16, 16) * 2.0
+        for (r0, r1), (c0, c1) in calls:
+            expected[r0:r1, c0:c1] = doubled[r0:r1, c0:c1]
+        assert np.array_equal(y, expected)
+
+    def test_group_id_body_runs_per_group(self, platform):
+        _y, calls = self.run(platform, _group_body, 2, 13)
+        assert len(calls) == 11
+        assert calls[0] == ((0, 4), (8, 12))

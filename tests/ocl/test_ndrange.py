@@ -124,3 +124,54 @@ class TestCoveringSlice:
             gid = nd.unflatten_group(fid)
             for g, off, n in zip(gid, sliced.group_offset, sliced.num_groups):
                 assert off <= g < off + n
+
+
+class TestBoxes:
+    """Box decomposition of a flattened window (span dispatch)."""
+
+    @staticmethod
+    def flatten_box(nd, origin, counts):
+        """Flattened IDs of a box, in flattened order."""
+        ids = []
+        for fid in range(nd.total_groups):
+            gid = nd.unflatten_group(fid)
+            if all(o <= g < o + c for g, o, c in zip(gid, origin, counts)):
+                ids.append(fid)
+        return ids
+
+    def test_1d_window_is_one_box(self):
+        nd = NDRange(256, 16)
+        assert nd.boxes(3, 11) == [((3,), (8,))]
+
+    def test_2d_partial_full_partial(self):
+        nd = NDRange((64, 64), (16, 16))  # 4 x 4 groups
+        assert nd.boxes(2, 13) == [
+            ((2, 0), (2, 1)),   # rest of row 0
+            ((0, 1), (4, 2)),   # rows 1-2 whole
+            ((0, 3), (1, 1)),   # start of row 3
+        ]
+
+    def test_2d_inside_one_row(self):
+        nd = NDRange((64, 64), (16, 16))
+        assert nd.boxes(5, 7) == [((1, 1), (2, 1))]
+
+    def test_bad_window_rejected(self):
+        with pytest.raises(ValueError):
+            NDRange(64, 16).boxes(2, 2)
+
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_boxes_tile_the_window_in_order(self, dims, data):
+        nd = NDRange(tuple(d * 2 for d in dims), (2,) * len(dims))
+        total = nd.total_groups
+        lo = data.draw(st.integers(0, total - 1))
+        hi = data.draw(st.integers(lo + 1, total))
+        boxes = nd.boxes(lo, hi)
+        assert len(boxes) <= 2 * nd.rank - 1
+        covered = []
+        for origin, counts in boxes:
+            assert all(c >= 1 for c in counts)
+            covered += self.flatten_box(nd, origin, counts)
+        assert covered == list(range(lo, hi))

@@ -21,6 +21,9 @@ from repro.polybench.suite import make_app
 
 IRREGULAR = ("spmv", "histogram", "bfs", "scan")
 PIPELINES = ("2mm", "3mm", "bfs", "scan")
+#: dense polybench apps; every kernel of theirs dispatches as boxes
+DENSE = ("2mm", "3mm", "gemm", "syrk", "syr2k", "corr", "gesummv", "bicg",
+         "atax", "mvt")
 PRESETS = ("default", "cpu+2gpu", "cpu+3gpu")
 
 
@@ -116,3 +119,23 @@ class TestPipelineAppsCooperativeVsSingle:
         single, _ = run_single(app_name, DeviceKind.GPU)
         assert_bitwise(coop, single,
                        f"{app_name} cooperative {preset} vs gpu-only")
+
+
+class TestDenseAppsCooperativeVsSingle:
+    """Dense apps: cooperative == GPU-only == CPU-only, bit for bit.
+
+    Their kernels run one body call per box of work-groups, and each
+    device's boxes follow its own windows and waves.  Box bodies are
+    split-invariant (tests/ocl/test_split_invariance.py), so no schedule
+    may change a single output bit.
+    """
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("app_name", DENSE)
+    def test_bitwise_vs_single_devices(self, app_name, preset):
+        coop, _inputs, monitor = run_cooperative(app_name, preset)
+        assert not monitor.violations
+        for kind in (DeviceKind.GPU, DeviceKind.CPU):
+            single, _ = run_single(app_name, kind)
+            assert_bitwise(coop, single,
+                           f"{app_name} cooperative {preset} vs {kind}-only")
