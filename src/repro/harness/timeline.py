@@ -1,6 +1,6 @@
 """Execution-timeline reconstruction and ASCII Gantt rendering.
 
-Built from the simulation tracer, this answers "what actually overlapped?"
+Built from the recorded event stream, this answers "what actually overlapped?"
 — the question behind the paper's §5.5 (computation/communication overlap).
 Tests use it to assert overlap properties; humans use it to eyeball a
 FluidiCL schedule:
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.obs.recorder import EventRecorder
-from repro.sim.trace import Tracer
 
 __all__ = ["Span", "extract_spans", "overlap_seconds", "render_gantt"]
 
@@ -49,57 +48,27 @@ def _label(payload: Dict) -> str:
     return payload.get("label", "")
 
 
-def extract_spans(tracer: Tracer, kinds: Optional[List[str]] = None) -> List[Span]:
+def extract_spans(recorder: EventRecorder,
+                  kinds: Optional[List[str]] = None) -> List[Span]:
     """Queue-command execution spans, one per executed command.
 
-    When given an :class:`~repro.obs.recorder.EventRecorder` (what
-    ``build_machine(trace=True)`` installs), spans come from the typed
-    event stream — the same stream the Chrome-trace export reads, so the
-    ASCII Gantt and the JSON timeline cannot disagree.  A plain
-    :class:`Tracer` falls back to pairing raw ``cmd_start``/``cmd_end``
-    records.
+    Spans come from the recorder's typed event stream (what
+    ``build_machine(trace=True)`` installs as ``machine.tracer``) — the
+    same stream the Chrome-trace export reads, so the ASCII Gantt and the
+    JSON timeline cannot disagree.
     """
-    if isinstance(tracer, EventRecorder):
-        spans = [
-            Span(
-                queue=es.track,
-                kind=str(es.attrs.get("type", "?")),
-                label=_label(es.attrs),
-                start=es.start,
-                end=es.end,
-            )
-            for es in tracer.command_spans()
-        ]
-    else:
-        spans = _spans_from_records(tracer)
+    spans = [
+        Span(
+            queue=es.track,
+            kind=str(es.attrs.get("type", "?")),
+            label=_label(es.attrs),
+            start=es.start,
+            end=es.end,
+        )
+        for es in recorder.command_spans()
+    ]
     if kinds is not None:
         spans = [s for s in spans if s.kind in kinds]
-    return spans
-
-
-def _spans_from_records(tracer: Tracer) -> List[Span]:
-    """Legacy path: FIFO-pair flat cmd_start/cmd_end records per queue."""
-    open_commands: Dict[str, List] = {}
-    spans: List[Span] = []
-    for record in tracer.records:
-        if record.category not in ("cmd_start", "cmd_end"):
-            continue
-        payload = record.payload
-        queue = payload["queue"]
-        if record.category == "cmd_start":
-            open_commands.setdefault(queue, []).append(record)
-        else:
-            pending = open_commands.get(queue)
-            if not pending:
-                continue
-            start = pending.pop(0)  # queues are in-order: FIFO pairing
-            spans.append(Span(
-                queue=queue,
-                kind=payload.get("type", "?"),
-                label=_label(payload),
-                start=start.time,
-                end=record.time,
-            ))
     return spans
 
 

@@ -1,7 +1,7 @@
 """Core of the discrete-event engine: clock, events and processes.
 
 Simulated time is an **integer** — fixed-point microseconds, see
-:mod:`repro.sim.timebase` — and the heap is keyed by
+:mod:`repro.sim.timebase` — and the queue is keyed by
 ``(time_ticks, phase, tie, seq)`` so same-instant draining follows an
 explicit phase order (:class:`Phase`: COMPLETE < WAKE < LAUNCH < TRACE)
 instead of accidental FIFO ties.  ``Engine.now`` stays a float property
@@ -16,7 +16,7 @@ import functools
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.timebase import (
     NEGATIVE_SLACK_SECONDS,
@@ -24,6 +24,9 @@ from repro.sim.timebase import (
     from_ticks,
     to_ticks,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.recorder import EventRecorder
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -71,7 +74,7 @@ class Phase(enum.IntEnum):
     * ``TRACE`` — observability bookkeeping, after all semantic events.
 
     The interleave jitter (:meth:`Engine.set_interleave_jitter`) perturbs
-    ties only *within* a phase — the phase itself is part of the heap key.
+    ties only *within* a phase — the phase itself is part of the queue key.
     """
 
     COMPLETE = 0
@@ -83,6 +86,11 @@ class Phase(enum.IntEnum):
 _PHASE_BITS = 2
 _PHASE_WAKE = int(Phase.WAKE)
 _PHASE_MAX = int(Phase.TRACE)
+
+
+def _take_jittered(bucket: list) -> "Event":
+    """Pop the lowest ``(tie, seq)`` entry off a jittered bucket."""
+    return _heappop(bucket)[2]
 
 
 class Event:
@@ -232,22 +240,15 @@ class Timeout(Event):
                         cache[delay] = dt
         else:
             dt = 0
-        if engine._interleave_rng is None:
-            if dt:
-                key = (engine._now_ticks + dt) << _PHASE_BITS | _PHASE_WAKE
-                buckets = engine._buckets
-                bucket = buckets.get(key)
-                if bucket is None:
-                    free = engine._bucket_free
-                    bucket = free.pop() if free else deque()
-                    buckets[key] = bucket
-                    _heappush(engine._bucket_keys, key)
-                bucket.append(self)
-            else:
-                engine._imm.append(self)
+        key = (engine._now_ticks + dt) << _PHASE_BITS | _PHASE_WAKE
+        bucket = engine._buckets.get(key)
+        if bucket is None:
+            bucket = engine._open_bucket(key)
+        rng = engine._interleave_rng
+        if rng is None:
+            bucket.append(self)
         else:
-            engine._push_jittered(
-                (engine._now_ticks + dt) << _PHASE_BITS | _PHASE_WAKE, self)
+            _heappush(bucket, (rng.random(), next(engine._seq), self))
 
     @classmethod
     def _at_ticks(cls, engine: "Engine", delay_ticks: int,
@@ -474,33 +475,29 @@ class Engine:
     """The event loop, keyed ``(time_ticks, phase, tie, seq)``.
 
     The time/phase pair is packed into one integer key
-    (``ticks << 2 | phase``).  Without interleave jitter the queue is a
-    *calendar*: a dict of per-key FIFO deques plus a small heap of the
-    distinct keys — pushes and pops are O(1) in the common case instead
-    of O(log n) tuple-compare heap operations, and FIFO order within a
-    ``(instant, phase)`` bucket is structural.  With jitter installed the
-    queue falls back to a classic heap of ``(key, tie, seq, event)``
-    entries so seeded interleavings stay reproducible.
+    (``ticks << 2 | phase``).  Every pending event lives in one
+    *calendar*: a dict of per-key buckets plus a small heap of the
+    distinct keys, so pushes and pops are O(1) in the common case
+    instead of O(log n) tuple-compare heap operations.  Without
+    interleave jitter a bucket is a FIFO deque (``tie = 0``, order is
+    structural); with jitter it is a heap of ``(tie, seq, event)``
+    entries, one seeded draw per push.  Either way the drain order is
+    the global ``(key, tie, seq)`` order.
     """
 
-    def __init__(self, tracer=None):
+    def __init__(self, tracer: Optional["EventRecorder"] = None):
         #: integer clock, fixed-point microseconds (:mod:`repro.sim.timebase`)
         self._now_ticks: int = 0
         #: cached float view of the clock; None when stale
         self._now_f: Optional[float] = 0.0
-        # -- immediate lane (FIFO mode) --
-        #: WAKE-phase events at the *current* instant: the succeed()/
-        #: zero-delay fast lane (push = append, pop = popleft)
-        self._imm: deque = deque()
-        # -- calendar queue (FIFO mode) --
-        #: key -> deque of events, FIFO within one (instant, phase) bucket
+        #: key -> bucket of the events pending at one (instant, phase)
         self._buckets: dict = {}
         #: min-heap of the distinct keys present in ``_buckets``
         self._bucket_keys: list = []
-        #: retired deques, reused to avoid per-bucket allocation
+        #: retired (empty) buckets, reused to avoid per-bucket allocation
         self._bucket_free: list = []
-        # -- jittered queue (heap mode) --
-        self._heap: list = []
+        #: pops the next event off a bucket (FIFO or tie-heap)
+        self._take = deque.popleft
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
         #: memoized float-delay -> tick conversions (bounded; delays repeat)
@@ -576,30 +573,30 @@ class Engine:
         same order).  Event *times* are never perturbed, and the
         :class:`Phase` order is never violated: the tie-break only
         reorders events within one ``(instant, phase)`` bucket.
+
+        Jitter is armed (or disarmed) while no event is queued — in
+        practice on a fresh engine: the bucket kind follows it, so one
+        queue never mixes the two tie rules.
         """
+        if any(self._buckets.values()):
+            raise SimError(
+                "interleave jitter cannot change while events are queued")
         self._interleave_rng = rng
+        self._buckets.clear()
+        self._bucket_keys.clear()
+        self._bucket_free.clear()
+        self._take = deque.popleft if rng is None else _take_jittered
 
-    def _push(self, key: int, event: Event) -> None:
-        """Enqueue ``event`` under a packed ``ticks << 2 | phase`` key."""
-        if self._interleave_rng is None:
-            if key == self._now_ticks << _PHASE_BITS | _PHASE_WAKE:
-                self._imm.append(event)
-                return
-            buckets = self._buckets
-            bucket = buckets.get(key)
-            if bucket is None:
-                free = self._bucket_free
-                bucket = free.pop() if free else deque()
-                buckets[key] = bucket
-                _heappush(self._bucket_keys, key)
-            bucket.append(event)
+    def _open_bucket(self, key: int):
+        """Create the bucket for a key not yet in the calendar."""
+        free = self._bucket_free
+        if free:
+            bucket = free.pop()
         else:
-            self._push_jittered(key, event)
-
-    def _push_jittered(self, key: int, event: Event) -> None:
-        _heappush(self._heap, (
-            key, self._interleave_rng.random(), next(self._seq), event,
-        ))
+            bucket = deque() if self._interleave_rng is None else []
+        self._buckets[key] = bucket
+        _heappush(self._bucket_keys, key)
+        return bucket
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay:
@@ -608,96 +605,68 @@ class Engine:
             ticks = self._now_ticks
         self._push(ticks << _PHASE_BITS | event.phase, event)
 
-    def _schedule_at_ticks(self, event: Event, ticks: int) -> None:
-        """Schedule ``event`` at an absolute tick instant (internal)."""
-        self._push(ticks << _PHASE_BITS | event.phase, event)
-
-    def _pop(self) -> Event:
-        """Dequeue the next event, advancing the clock (either mode).
-
-        On an exact key tie between the two queues the calendar side wins:
-        its events were scheduled before jitter was installed (tie 0.0 in
-        the old single-heap encoding), so they precede jittered entries.
-        """
-        keys = self._bucket_keys
-        heap = self._heap
-        imm = self._imm
-        if imm:
-            imm_key = self._now_ticks << _PHASE_BITS | _PHASE_WAKE
-            if (keys and keys[0] <= imm_key
-                    and (not heap or keys[0] <= heap[0][0])):
-                key = keys[0]
-            elif heap and heap[0][0] < imm_key and (
-                    not keys or heap[0][0] < keys[0]):
-                key, _tie, _seq, event = _heappop(heap)
-                ticks = key >> _PHASE_BITS
-                if ticks != self._now_ticks:
-                    self._now_ticks = ticks
-                    self._now_f = None
-                return event
-            else:
-                return imm.popleft()
-        elif keys and (not heap or keys[0] <= heap[0][0]):
-            key = keys[0]
-        elif heap:
-            key, _tie, _seq, event = _heappop(heap)
-            ticks = key >> _PHASE_BITS
-            if ticks != self._now_ticks:
-                self._now_ticks = ticks
-                self._now_f = None
-            return event
+    def _push(self, key: int, event: Event) -> None:
+        """Enqueue ``event`` under a packed ``ticks << 2 | phase`` key."""
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._open_bucket(key)
+        rng = self._interleave_rng
+        if rng is None:
+            bucket.append(event)
         else:
-            raise SimDeadlockError("no scheduled events")
-        bucket = self._buckets[key]
-        event = bucket.popleft()
-        if not bucket:
-            _heappop(keys)
-            del self._buckets[key]
-            self._bucket_free.append(bucket)
-        ticks = key >> _PHASE_BITS
-        if ticks != self._now_ticks:
-            self._now_ticks = ticks
-            self._now_f = None
-        return event
+            _heappush(bucket, (rng.random(), next(self._seq), event))
 
-    def _peek_key(self) -> Optional[int]:
-        """Smallest pending key across both queue modes, or None."""
-        best = self._bucket_keys[0] if self._bucket_keys else None
-        if self._imm:
-            imm_key = self._now_ticks << _PHASE_BITS | _PHASE_WAKE
-            if best is None or imm_key < best:
-                best = imm_key
-        heap = self._heap
-        if heap and (best is None or heap[0][0] < best):
-            best = heap[0][0]
-        return best
+    def _head_key(self) -> Optional[int]:
+        """Key of the first non-empty bucket, or None; retires emptied
+        buckets it passes."""
+        keys = self._bucket_keys
+        buckets = self._buckets
+        while keys:
+            key = keys[0]
+            bucket = buckets[key]
+            if bucket:
+                return key
+            _heappop(keys)
+            del buckets[key]
+            self._bucket_free.append(bucket)
+        return None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        key = self._peek_key()
+        key = self._head_key()
         if key is None:
             return float("inf")
         return from_ticks(key >> _PHASE_BITS)
 
     def peek_ticks(self) -> Optional[int]:
         """Tick instant of the next scheduled event, or None if none."""
-        key = self._peek_key()
+        key = self._head_key()
         if key is None:
             return None
         return key >> _PHASE_BITS
 
     def step(self) -> Event:
         """Process one event, advancing the clock."""
-        event = self._pop()
+        key = self._head_key()
+        if key is None:
+            raise SimDeadlockError("no scheduled events")
+        event = self._take(self._buckets[key])
+        ticks = key >> _PHASE_BITS
+        if ticks != self._now_ticks:
+            self._now_ticks = ticks
+            self._now_f = None
         event._process()
         return event
 
     # -- run loops ------------------------------------------------------------
     # The loops below inline the queue pop (no per-event method dispatch):
     # at hundreds of thousands of events per run, the dispatch overhead
-    # dominated the harness profile.  The float view of the clock is
-    # invalidated only when the tick instant actually changes.  Each loop
-    # has a calendar (FIFO) fast path and a heap (jitter) path.
+    # dominated the harness profile.  An emptied bucket is retired when it
+    # next reaches the head of the calendar, not when its last event is
+    # taken: the event's own callbacks often push to the same key (a
+    # process yielding a zero-delay timeout), and then refill the bucket
+    # instead of reopening it.  The float view of the clock is invalidated
+    # only when the tick instant actually changes.
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -710,56 +679,24 @@ class Engine:
             buckets = self._buckets
             keys = self._bucket_keys
             free = self._bucket_free
-            imm = self._imm
-            pop_key = _heappop
-            while True:
-                if self._heap:
-                    self._drain_jittered()
-                if imm:
-                    if (not keys or keys[0]
-                            > self._now_ticks << _PHASE_BITS | _PHASE_WAKE):
-                        imm.popleft()._process()
-                        continue
-                elif not keys:
-                    return None
+            take = self._take
+            while keys:
                 key = keys[0]
+                bucket = buckets[key]
+                if not bucket:
+                    _heappop(keys)
+                    del buckets[key]
+                    free.append(bucket)
+                    continue
                 ticks = key >> _PHASE_BITS
                 if ticks != self._now_ticks:
                     self._now_ticks = ticks
                     self._now_f = None
-                bucket = buckets[key]
-                event = bucket.popleft()
-                if not bucket:
-                    pop_key(keys)
-                    del buckets[key]
-                    free.append(bucket)
-                event._process()
+                take(bucket)._process()
+            return None
         if isinstance(until, Event):
             return self._run_until_event(until)
         return self._run_until_time(float(until))
-
-    def _drain_jittered(self) -> None:
-        """Drain the heap-mode queue up to the calendar's next key.
-
-        Returns with the heap empty, or with the calendar holding the
-        strictly earlier (or tied) key.
-        """
-        heap = self._heap
-        pop = _heappop
-        keys = self._bucket_keys
-        imm = self._imm
-        while heap:
-            head_key = heap[0][0]
-            if keys and keys[0] <= head_key:
-                return
-            if imm and self._now_ticks << _PHASE_BITS | _PHASE_WAKE <= head_key:
-                return
-            key, _tie, _seq, event = pop(heap)
-            ticks = key >> _PHASE_BITS
-            if ticks != self._now_ticks:
-                self._now_ticks = ticks
-                self._now_f = None
-            event._process()
 
     def run_for(self, delay: float) -> None:
         """Run until ``delay`` seconds from now (exact tick arithmetic)."""
@@ -769,31 +706,24 @@ class Engine:
         buckets = self._buckets
         keys = self._bucket_keys
         free = self._bucket_free
-        imm = self._imm
-        pop_key = _heappop
+        take = self._take
         while not event._processed:
-            if self._heap:
-                head = self._pop()
-            elif imm and (not keys or keys[0]
-                          > self._now_ticks << _PHASE_BITS | _PHASE_WAKE):
-                head = imm.popleft()
-            elif keys:
-                key = keys[0]
-                ticks = key >> _PHASE_BITS
-                if ticks != self._now_ticks:
-                    self._now_ticks = ticks
-                    self._now_f = None
-                bucket = buckets[key]
-                head = bucket.popleft()
-                if not bucket:
-                    pop_key(keys)
-                    del buckets[key]
-                    free.append(bucket)
-            else:
+            if not keys:
                 raise SimDeadlockError(
                     f"deadlock: ran out of events before {event!r} triggered"
                 )
-            head._process()
+            key = keys[0]
+            bucket = buckets[key]
+            if not bucket:
+                _heappop(keys)
+                del buckets[key]
+                free.append(bucket)
+                continue
+            ticks = key >> _PHASE_BITS
+            if ticks != self._now_ticks:
+                self._now_ticks = ticks
+                self._now_f = None
+            take(bucket)._process()
         if not event.ok:
             raise event.value
         return event.value
@@ -805,38 +735,24 @@ class Engine:
         buckets = self._buckets
         keys = self._bucket_keys
         free = self._bucket_free
-        pop_key = _heappop
+        take = self._take
         # Drain every phase at the deadline instant too.
         deadline_key = deadline_ticks << _PHASE_BITS | _PHASE_MAX
-        imm = self._imm
-        while True:
-            if self._heap:
-                key = self._peek_key()
-                if key is None or key > deadline_key:
-                    break
-                event = self._pop()
-            elif imm and (not keys or keys[0]
-                          > self._now_ticks << _PHASE_BITS | _PHASE_WAKE):
-                if self._now_ticks << _PHASE_BITS | _PHASE_WAKE > deadline_key:
-                    break
-                event = imm.popleft()
-            elif keys:
-                key = keys[0]
-                if key > deadline_key:
-                    break
-                ticks = key >> _PHASE_BITS
-                if ticks != self._now_ticks:
-                    self._now_ticks = ticks
-                    self._now_f = None
-                bucket = buckets[key]
-                event = bucket.popleft()
-                if not bucket:
-                    pop_key(keys)
-                    del buckets[key]
-                    free.append(bucket)
-            else:
+        while keys:
+            key = keys[0]
+            if key > deadline_key:
                 break
-            event._process()
+            bucket = buckets[key]
+            if not bucket:
+                _heappop(keys)
+                del buckets[key]
+                free.append(bucket)
+                continue
+            ticks = key >> _PHASE_BITS
+            if ticks != self._now_ticks:
+                self._now_ticks = ticks
+                self._now_f = None
+            take(bucket)._process()
         if deadline_ticks > self._now_ticks:
             self._now_ticks = deadline_ticks
             self._now_f = None

@@ -6,8 +6,8 @@ import pytest
 from repro.core.runtime import FluidiCLRuntime
 from repro.harness.timeline import Span, extract_spans, overlap_seconds, render_gantt
 from repro.hw.machine import build_machine
+from repro.obs.recorder import EventRecorder
 from repro.ocl.ndrange import NDRange
-from repro.sim.trace import Tracer
 
 from tests.conftest import make_scale_kernel
 
@@ -27,21 +27,21 @@ class TestSpanMechanics:
         assert Span("q", "k", "a", 1.0, 2.5).duration == pytest.approx(1.5)
 
     def test_extract_pairs_in_order(self):
-        tracer = Tracer()
-        tracer.record(0.0, "cmd_start", {"queue": "q", "type": "x", "kernel": "k"})
-        tracer.record(1.0, "cmd_end", {"queue": "q", "type": "x", "kernel": "k"})
-        tracer.record(1.0, "cmd_start", {"queue": "q", "type": "x", "kernel": "k"})
-        tracer.record(3.0, "cmd_end", {"queue": "q", "type": "x", "kernel": "k"})
-        spans = extract_spans(tracer)
+        recorder = EventRecorder()
+        recorder.record(0.0, "cmd_start", {"queue": "q", "type": "x", "kernel": "k"})
+        recorder.record(1.0, "cmd_end", {"queue": "q", "type": "x", "kernel": "k"})
+        recorder.record(1.0, "cmd_start", {"queue": "q", "type": "x", "kernel": "k"})
+        recorder.record(3.0, "cmd_end", {"queue": "q", "type": "x", "kernel": "k"})
+        spans = extract_spans(recorder)
         assert [(s.start, s.end) for s in spans] == [(0.0, 1.0), (1.0, 3.0)]
 
     def test_kind_filter(self):
-        tracer = Tracer()
-        tracer.record(0.0, "cmd_start", {"queue": "q", "type": "a"})
-        tracer.record(1.0, "cmd_end", {"queue": "q", "type": "a"})
-        tracer.record(1.0, "cmd_start", {"queue": "q", "type": "b"})
-        tracer.record(2.0, "cmd_end", {"queue": "q", "type": "b"})
-        assert len(extract_spans(tracer, kinds=["a"])) == 1
+        recorder = EventRecorder()
+        recorder.record(0.0, "cmd_start", {"queue": "q", "type": "a"})
+        recorder.record(1.0, "cmd_end", {"queue": "q", "type": "a"})
+        recorder.record(1.0, "cmd_start", {"queue": "q", "type": "b"})
+        recorder.record(2.0, "cmd_end", {"queue": "q", "type": "b"})
+        assert len(extract_spans(recorder, kinds=["a"])) == 1
 
     def test_render_empty(self):
         assert "empty" in render_gantt([])

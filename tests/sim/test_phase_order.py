@@ -8,7 +8,9 @@ boundary itself is part of the integer heap key and is never crossed.
 
 import random
 
-from repro.sim.core import Engine, Event, Phase
+import pytest
+
+from repro.sim.core import Engine, Event, Phase, SimError
 
 
 class CompleteEvent(Event):
@@ -52,9 +54,9 @@ class TestGoldenDrainOrder:
         assert _drain_order(Engine(), self.SPEC, delay=5e-6) == self.GOLDEN
 
     def test_current_instant_drains_in_phase_order(self):
-        """delay=0 routes WAKE events through the immediate FIFO and the
-        other phases through the calendar; the merged drain must still
-        respect the phase order and FIFO within each phase."""
+        """delay=0 pushes every event at the current instant, into the
+        bucket the engine may be draining; the drain must still respect
+        the phase order and FIFO within each phase."""
         assert _drain_order(Engine(), self.SPEC, delay=0.0) == self.GOLDEN
 
     def test_distinct_instants_trump_phases(self):
@@ -108,6 +110,21 @@ class TestJitterStaysWithinPhase:
         assert runs[0] == runs[1]
 
 
+    def test_arming_jitter_after_scheduling_raises(self):
+        """Jitter is armed on a fresh engine or not at all: a queued
+        event was ordered without a tie draw, so installing (or removing)
+        the RNG mid-run would mix two tie rules in one queue."""
+        engine = Engine()
+        engine.timeout(1e-6)
+        with pytest.raises(SimError, match="while events are queued"):
+            engine.set_interleave_jitter(random.Random(0))
+        jittered = Engine()
+        jittered.set_interleave_jitter(random.Random(0))
+        jittered.event().succeed()
+        with pytest.raises(SimError, match="while events are queued"):
+            jittered.set_interleave_jitter(None)
+
+
 class TestFuzzerAxis:
     def test_25_seeds_zero_violations(self):
         """The schedule-space fuzzer (which exercises jittered drains,
@@ -143,9 +160,12 @@ class TestTwoDeviceGoldenOrder:
         "cmd_start", "cmd_end", "cmd_start", "cmd_end", "cmd_start",
         "cmd_end", "cmd_start", "cmd_end",
     ]
-    #: the subset of records that land on exact-microsecond instants
+    #: the subset of events that land on exact-microsecond instants
     GOLDEN_ALIGNED = ["buffer_write", "kernel_begin",
                       "pool_miss", "pool_miss"]
+
+    #: ``build_machine(interleave_seed=...)``; None runs unjittered
+    INTERLEAVE_SEED = None
 
     def _run(self):
         from repro.core.config import FluidiCLConfig
@@ -153,7 +173,8 @@ class TestTwoDeviceGoldenOrder:
         from repro.hw.machine import build_machine
         from repro.polybench.suite import make_app
 
-        machine = build_machine(trace=True)
+        machine = build_machine(trace=True,
+                                interleave_seed=self.INTERLEAVE_SEED)
         config = FluidiCLConfig(initial_chunk_fraction=0.25,
                                 chunk_step_fraction=0.0)
         runtime = FluidiCLRuntime(machine, config=config)
@@ -164,18 +185,70 @@ class TestTwoDeviceGoldenOrder:
 
     def test_category_sequence_matches_golden(self):
         machine = self._run()
-        assert ([r.category for r in machine.tracer.records]
+        assert ([e.category for e in machine.tracer.events]
                 == self.GOLDEN_CATEGORIES)
 
     def test_us_aligned_subset_matches_golden(self):
         from repro.sim.timebase import is_us_aligned
 
         machine = self._run()
-        aligned = [r.category for r in machine.tracer.records
-                   if is_us_aligned(r.time)]
+        aligned = [e.category for e in machine.tracer.events
+                   if is_us_aligned(e.ts)]
         assert aligned == self.GOLDEN_ALIGNED
 
     def test_trace_times_are_monotonic(self):
         machine = self._run()
-        times = [r.time for r in machine.tracer.records]
+        times = [e.ts for e in machine.tracer.events]
         assert all(a <= b for a, b in zip(times, times[1:]))
+
+
+class TestJitteredTwoDeviceGoldenOrder(TestTwoDeviceGoldenOrder):
+    """The same pinned run under a fixed interleave seed.
+
+    Jitter reorders same-phase ties between queues, so the category
+    sequence and its aligned subset stay the unjittered goldens while
+    the per-event tracks move; the pinned track sequence is what a
+    change to the jittered drain order would shift."""
+
+    INTERLEAVE_SEED = 2
+
+    GOLDEN_TRACKS = [
+        "runtime", "fluidicl-cpu", "fluidicl-app", "runtime", "fluidicl-cpu",
+        "fluidicl-cpu", "runtime", "runtime", "pool", "pool", "fluidicl-cpu",
+        "fluidicl-cpu", "fluidicl-cpu", "fluidicl-app", "fluidicl-app",
+        "fluidicl-app", "fluidicl-app", "fluidicl-app", "fluidicl-app",
+        "fluidicl-app", "fluidicl-app", "scheduler", "fluidicl-cpu",
+        "fluidicl-cpu", "fluidicl-hd", "fluidicl-hd", "fluidicl-hd", "hd",
+        "fluidicl-hd", "fluidicl-app", "runtime", "runtime", "fluidicl-hd",
+        "fluidicl-hd", "runtime", "fluidicl-cpu-io", "fluidicl-cpu-io",
+        "fluidicl-app", "fluidicl-app", "fluidicl-hd", "fluidicl-hd",
+        "fluidicl-hd", "fluidicl-hd", "fluidicl-cpu-io", "fluidicl-cpu-io",
+        "fluidicl-cpu", "fluidicl-cpu", "fluidicl-app", "fluidicl-app",
+    ]
+
+    def test_track_sequence_matches_golden(self):
+        machine = self._run()
+        assert [e.track for e in machine.tracer.events] == self.GOLDEN_TRACKS
+
+
+class TestJitteredFuzzerPins:
+    """One jittered :class:`ScheduleFuzzer` seed per machine preset, with
+    its simulated result pinned: a change to the jittered drain order
+    moves ``elapsed`` or the event/check counts."""
+
+    @pytest.mark.parametrize("seed, machine, elapsed, events, checks", [
+        (0, "default", 0.0005298439599742979, 85, 108),
+        (10, "cpu+2gpu", 0.0009451506374860679, 96, 121),
+        (8, "cpu+3gpu", 0.0004219762465567269, 83, 99),
+    ])
+    def test_pinned_seed(self, seed, machine, elapsed, events, checks):
+        from repro.check.fuzzer import ScheduleFuzzer, run_config
+
+        fuzzer = ScheduleFuzzer(machines=("default", "cpu+2gpu", "cpu+3gpu"))
+        config = fuzzer.config(seed)
+        assert config.machine == machine
+        assert config.jitter_seed is not None
+        result = run_config(config)
+        assert result.outcome == "ok" and not result.failed
+        assert (result.elapsed, result.events, result.checks) == (
+            elapsed, events, checks)

@@ -1,58 +1,35 @@
-"""Unit tests for the tracer."""
+"""The engine's trace hook: ``Engine.trace`` feeds the one event stream
+(:class:`~repro.obs.recorder.EventRecorder`)."""
 
-from repro.sim.trace import TraceRecord, Tracer
+from repro.obs.recorder import EventRecorder
+from repro.sim.core import Engine
 
 
 class TestTracer:
     def test_records_accumulate_in_order(self):
-        tracer = Tracer()
-        tracer.record(1.0, "a", {"k": 1})
-        tracer.record(2.0, "b", {"k": 2})
-        assert len(tracer) == 2
-        assert [r.time for r in tracer] == [1.0, 2.0]
-
-    def test_by_category(self):
-        tracer = Tracer()
-        tracer.record(0.0, "x", {})
-        tracer.record(1.0, "y", {})
-        tracer.record(2.0, "x", {})
-        assert len(tracer.by_category("x")) == 2
-
-    def test_categories_preserve_first_seen_order(self):
-        tracer = Tracer()
-        for category in ("b", "a", "b", "c"):
-            tracer.record(0.0, category, {})
-        assert tracer.categories() == ["b", "a", "c"]
+        engine = Engine(tracer=EventRecorder())
+        engine.trace("a", k=1)
+        engine.run_for(1e-6)
+        engine.trace("b", k=2)
+        events = engine.tracer.events
+        assert [e.category for e in events] == ["a", "b"]
+        assert [e.ts for e in events] == [0.0, engine.now]
+        assert [e.attrs["k"] for e in events] == [1, 2]
 
     def test_payload_copied(self):
-        tracer = Tracer()
+        recorder = EventRecorder()
         payload = {"k": 1}
-        tracer.record(0.0, "x", payload)
+        recorder.record(0.0, "x", payload)
         payload["k"] = 99
-        assert tracer.records[0]["k"] == 1
+        assert recorder.events[0].attrs["k"] == 1
 
     def test_clear(self):
-        tracer = Tracer()
-        tracer.record(0.0, "x", {})
-        tracer.clear()
-        assert len(tracer) == 0
+        engine = Engine(tracer=EventRecorder())
+        engine.trace("x")
+        engine.tracer.clear()
+        assert engine.tracer.events == []
 
-    def test_spans_pairing(self):
-        tracer = Tracer()
-        tracer.record(1.0, "start", {"id": "a"})
-        tracer.record(2.0, "start", {"id": "b"})
-        tracer.record(3.0, "end", {"id": "a"})
-        tracer.record(4.0, "end", {"id": "b"})
-        spans = tracer.spans("start", "end", "id")
-        assert [(s.time, e.time) for s, e in spans] == [(1.0, 3.0), (2.0, 4.0)]
-
-    def test_spans_skip_records_without_key(self):
-        tracer = Tracer()
-        tracer.record(1.0, "start", {"id": "a"})
-        tracer.record(1.5, "start", {"other": 1})
-        tracer.record(2.0, "end", {"id": "a"})
-        assert len(tracer.spans("start", "end", "id")) == 1
-
-    def test_record_getitem(self):
-        record = TraceRecord(0.0, "x", {"key": "value"})
-        assert record["key"] == "value"
+    def test_untraced_engine_records_nothing(self):
+        engine = Engine()
+        engine.trace("x", k=1)
+        assert engine.tracer is None
