@@ -39,6 +39,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.analysis.diagnostics import (
     Finding,
     LintReport,
+    Severity,
     SourceLocation,
     rule,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "analyze_variant",
     "analyze_specs",
     "clear_cache",
+    "read_only_args",
     "span_dims",
 ]
 
@@ -70,6 +72,9 @@ _FACTS_CACHE: Dict[object, KernelFacts] = {}
 
 #: memoized :func:`span_dims` verdicts per (facts key, argument specs)
 _SPAN_CACHE: Dict[object, Optional[frozenset]] = {}
+
+#: memoized :func:`read_only_args` verdicts, keyed like ``_SPAN_CACHE``
+_READ_ONLY_CACHE: Dict[object, frozenset] = {}
 
 
 def _facts_key(body) -> object:
@@ -103,10 +108,27 @@ def _facts_for(body) -> KernelFacts:
     return cached
 
 
+def _memoized(cache: Dict[object, object], spec: KernelSpec, derive):
+    """``derive(spec, facts)``, memoized in ``cache`` per (facts key,
+    argument specs)."""
+    key = (_facts_key(spec.body), spec.args)
+    try:
+        return cache[key]
+    except KeyError:
+        pass
+    except TypeError:  # unhashable body or argument
+        key = None
+    verdict = derive(spec, _facts_for(spec.body))
+    if key is not None:
+        cache[key] = verdict
+    return verdict
+
+
 def clear_cache() -> None:
     """Drop memoized body facts (tests redefine bodies dynamically)."""
     _FACTS_CACHE.clear()
     _SPAN_CACHE.clear()
+    _READ_ONLY_CACHE.clear()
 
 
 def _loc(facts: KernelFacts, line: int) -> Optional[SourceLocation]:
@@ -369,14 +391,10 @@ def span_dims(spec: KernelSpec) -> Optional[frozenset]:
     body tiles on).  The verdict is memoized per body through the facts
     cache, so launches never re-parse a body.
     """
-    key = (_facts_key(spec.body), spec.args)
-    try:
-        return _SPAN_CACHE[key]
-    except KeyError:
-        pass
-    except TypeError:  # unhashable body or argument
-        key = None
-    facts = _facts_for(spec.body)
+    return _memoized(_SPAN_CACHE, spec, _span_verdict)
+
+
+def _span_verdict(spec: KernelSpec, facts: KernelFacts) -> Optional[frozenset]:
     safe = (
         facts.analyzable
         and not facts.ctx_escapes
@@ -384,10 +402,42 @@ def span_dims(spec: KernelSpec) -> Optional[frozenset]:
         and all(facts.writes(arg.name) for arg in spec.out_args)
         and not _race_findings(spec, facts)
     )
-    verdict = frozenset(facts.tile_dims) if safe else None
-    if key is not None:
-        _SPAN_CACHE[key] = verdict
-    return verdict
+    return frozenset(facts.tile_dims) if safe else None
+
+
+# ---------------------------------------------------------------------------
+# read-only arguments (copy-on-write mirrors)
+# ---------------------------------------------------------------------------
+def read_only_args(spec: KernelSpec) -> frozenset:
+    """Names of ``spec``'s buffer arguments the body provably never writes.
+
+    An argument qualifies when it is declared ``in``, the body is
+    analyzable, the context never escapes, every ``ctx[...]`` key resolves,
+    no write to it is visible, and no intent rule contradicts the
+    declaration (no ERROR-severity FK1xx finding: an under-declared write,
+    an undeclared name or a written scalar void every proof).  Kernels get
+    a read-only view of such a buffer instead of a private copy
+    (:meth:`repro.ocl.kernel.Kernel.run_span`), so a write the analysis
+    missed raises NumPy's read-only error instead of corrupting a mirror
+    other devices share.  Memoized like :func:`span_dims`.
+    """
+    return _memoized(_READ_ONLY_CACHE, spec, _read_only_verdict)
+
+
+def _read_only_verdict(spec: KernelSpec, facts: KernelFacts) -> frozenset:
+    trusted = (
+        facts.analyzable
+        and not facts.ctx_escapes
+        and not facts.unresolved_keys
+        and not any(f.severity is Severity.ERROR
+                    for f in _intent_findings(spec, facts))
+    )
+    if not trusted:
+        return frozenset()
+    return frozenset(
+        arg.name for arg in spec.buffer_args
+        if not arg.intent.is_written and not facts.writes(arg.name)
+    )
 
 
 # ---------------------------------------------------------------------------

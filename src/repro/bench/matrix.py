@@ -62,8 +62,10 @@ class AppCase:
 
 #: the full matrix: cpu-favored (gesummv), mixed (bicg) and gpu-favored
 #: (syrk) apps; the Fig. 15 ablation toggle; the §6.1 pool toggle; a
-#: slower-GPU machine that shifts more work to the CPU scheduler; and a
-#: three-device ``cpu+2gpu`` set exercising the N-way front ledger
+#: slower-GPU machine that shifts more work to the CPU scheduler; a
+#: three-device ``cpu+2gpu`` set exercising the N-way front ledger; and
+#: one paper-scale dense case, where host time is dominated by buffer
+#: copies (the cost copy-on-write mirrors remove)
 APP_MATRIX = (
     AppCase("gesummv", "small", "default", "default"),
     AppCase("bicg", "small", "default", "default"),
@@ -74,6 +76,7 @@ APP_MATRIX = (
     AppCase("gesummv", "small", "half-gpu", "default"),
     AppCase("syrk", "small", "half-gpu", "default"),
     AppCase("gesummv", "small", "cpu+2gpu", "default"),
+    AppCase("gesummv", "paper", "default", "default"),
 )
 
 #: CI smoke: one cpu-favored and one gpu-favored app at test scale, plus

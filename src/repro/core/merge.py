@@ -21,6 +21,8 @@ illustrative purpose").
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 
 from repro.hw.cost import WorkGroupCost
@@ -86,11 +88,14 @@ def build_merge_kernel(nbytes: int, itemsize: int, on_diff=None) -> KernelSpec:
         parts = _SPEC_PARTS_BY_ITEMSIZE[itemsize] = (args, cost)
     args, cost = parts
 
-    if on_diff is None:
-        body = _merge_body
-    else:
-        def body(ctx, _cb=on_diff, _size=itemsize):
-            _merge_body(ctx, on_diff=_cb, itemsize=_size)
+    body = _merge_body
+    if on_diff is not None:
+        # The same code with the hook bound as defaults: a wrapper calling
+        # ``_merge_body(ctx)`` would let the context escape the analyzer
+        # (no read-only views for cpu_buf/orig), and closure cells would
+        # give every merge its own analyzer cache entry.
+        body = types.FunctionType(_merge_body.__code__, _merge_body.__globals__,
+                                  _merge_body.__name__, (on_diff, itemsize))
 
     return KernelSpec(
         name="fluidicl_merge",

@@ -44,7 +44,7 @@ from repro.hw.machine import Machine
 from repro.hw.specs import DeviceKind
 from repro.kernels.dsl import KernelSpec
 from repro.kernels.transforms import gpu_fluidic_variant, plain_variant
-from repro.ocl.buffer import Buffer
+from repro.ocl.buffer import Buffer, frozen_copy
 from repro.ocl.enums import MemFlag
 from repro.ocl.events import CLEvent
 from repro.ocl.executor import LaunchConfig, StatusBoard
@@ -230,10 +230,15 @@ class FluidiCLRuntime(AbstractRuntime):
 
     def enqueue_write_buffer(self, handle: FluidiBuffer,
                              host_array: np.ndarray) -> None:
-        """``clEnqueueWriteBuffer``: one host call, one transfer per device."""
+        """``clEnqueueWriteBuffer``: one host call, one transfer per device.
+
+        The host array is copied once, at the call, into a frozen snapshot
+        that every device mirror then shares (copy-on-write, see
+        :class:`~repro.ocl.buffer.Buffer`).
+        """
         self.machine.host_api_call()
         version = next(self._versions)
-        snapshot = np.array(host_array, copy=True)
+        snapshot = frozen_copy(host_array)
         # A lost device gets no copy — and, crucially, must not be marked
         # current, or later reads would serve stale data from it.
         ok = [not front.lost for front in self.device_set.fronts]
@@ -933,6 +938,8 @@ class FluidiCLRuntime(AbstractRuntime):
                 # §5.3 waiter so it can re-evaluate instead of hanging).
                 self._abandon_dh_delivery(kernel_id, fbuf)
             elif fbuf.latest == kernel_id:
+                # every worker copy below shares this one host copy
+                host_staging.flags.writeable = False
                 delivered_all = True
                 for front in workers:
                     index = front.index

@@ -9,17 +9,52 @@ import numpy as np
 
 from repro.ocl.enums import MemFlag
 
-__all__ = ["Buffer"]
+__all__ = ["Buffer", "frozen_copy"]
 
 _buffer_ids = itertools.count(1)
+
+
+def frozen_copy(array) -> np.ndarray:
+    """A read-only copy of ``array`` that nothing else references: the
+    form in which runtimes take host data, so device buffers can share it."""
+    out = np.array(array, copy=True)
+    out.flags.writeable = False
+    return out
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """True when ``array`` and every array it views are read-only.
+
+    Such an array is treated as immutable: whoever clears an array's
+    ``writeable`` flag promises never to set it again.  A read-only view
+    of a writable base is not frozen — the base may still change under it.
+    """
+    while array is not None:
+        if not isinstance(array, np.ndarray) or array.flags.writeable:
+            return False
+        array = array.base
+    return True
 
 
 class Buffer:
     """A ``cl_mem`` object: bytes resident on exactly one device.
 
-    Content is a private NumPy array — other devices (and the host) cannot
-    see it without an explicit transfer command, which is what makes the
-    coherence work of the runtimes above observable and testable.
+    Content is logically private to the device — other devices (and the
+    host) cannot see it without an explicit transfer command, which is what
+    makes the coherence work of the runtimes above observable and testable.
+    Physically it is one of two things (copy-on-write):
+
+    * a **private** writable NumPy array, or
+    * a **shared** frozen array (read-only, like every array it views; see
+      :func:`frozen_copy`) that other buffers and the host may hold too: a
+      full-buffer :meth:`write_from` or a :meth:`copy_from` of a frozen
+      source adopts the source instead of copying it.
+
+    :attr:`array` turns a shared buffer private (one copy) the first time
+    device code asks for writable contents; :attr:`view` hands out the
+    contents without that copy, for device code proven never to write.
+    Simulated transfer costs are byte-based and do not depend on which of
+    the two backs a buffer.
 
     The element dtype/shape is kept as metadata; the paper stores the base
     type of each buffer "as a metadata at the beginning of each buffer" to
@@ -45,44 +80,88 @@ class Buffer:
     def nbytes(self) -> int:
         return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
 
-    @property
-    def array(self) -> np.ndarray:
-        """The device-resident contents.  Only device-side code (kernel
-        bodies, transfer commands) should touch this directly."""
+    def _live(self) -> np.ndarray:
         if self.released:
             raise RuntimeError(f"use after release of {self.name!r}")
         return self._array
 
+    @property
+    def array(self) -> np.ndarray:
+        """The device-resident contents, writable.  Only device-side code
+        (kernel bodies, transfer commands) should touch this directly; a
+        shared buffer is made private first."""
+        array = self._live()
+        if not array.flags.writeable:
+            array = self._array = array.copy()
+        return array
+
+    @property
+    def view(self) -> np.ndarray:
+        """The device-resident contents, read-only and never copied: the
+        shared array itself, or a read-only view of the private one.  For
+        device code that provably never writes (see
+        :func:`repro.analysis.analyzer.read_only_args`)."""
+        array = self._live()
+        if array.flags.writeable:
+            array = array.view()
+            array.flags.writeable = False
+        return array
+
     def write_from(self, host_array: np.ndarray,
                    region: Optional[slice] = None) -> None:
-        """Device-side effect of a completed host-to-device transfer."""
+        """Device-side effect of a completed host-to-device transfer.
+
+        A full-buffer write of a frozen source shares it; anything else
+        copies into private storage.
+        """
+        current = self._live()
         src = np.asarray(host_array, dtype=self.dtype).reshape(self.shape)
-        if region is None:
-            np.copyto(self._array, src)
+        if region is not None:
+            self.array.reshape(-1)[region] = src.reshape(-1)[region]
+        elif _frozen(src):
+            self._array = src
+        elif current.flags.writeable:
+            np.copyto(current, src)
         else:
-            self._array.reshape(-1)[region] = src.reshape(-1)[region]
+            self._array = src.copy()
 
     def read_into(self, host_array: np.ndarray) -> None:
         """Device-side effect of a completed device-to-host transfer."""
-        np.copyto(host_array.reshape(self.shape), self._array)
+        np.copyto(host_array.reshape(self.shape), self._live())
 
     def copy_from(self, other: "Buffer") -> None:
-        """Device-local clone of another buffer's contents (same device)."""
+        """Device-local clone of another buffer's contents (same device);
+        a shared source is shared, not copied."""
         if other.device is not self.device:
             raise ValueError(
                 "copy_from requires same-device buffers; use a transfer command"
             )
-        np.copyto(self._array.reshape(-1), other._array.reshape(-1))
+        current = self._live()
+        src = other._live()
+        if src.shape == self.shape and src.dtype == self.dtype \
+                and not src.flags.writeable:
+            self._array = src
+        elif current.flags.writeable:
+            np.copyto(current.reshape(-1), src.reshape(-1))
+        else:
+            self._array = src.astype(self.dtype).reshape(self.shape)
 
     def snapshot(self) -> np.ndarray:
-        """Copy of the current contents (used by tests and the merge step)."""
-        return self._array.copy()
+        """The current contents as a frozen array: the shared array itself,
+        or one frozen copy of the private one."""
+        array = self._live()
+        return frozen_copy(array) if array.flags.writeable else array
 
     def release(self) -> None:
-        """Free the device allocation (``clReleaseMemObject``)."""
+        """Free the device allocation (``clReleaseMemObject``).
+
+        The contents are dropped with it, so a released buffer no longer
+        pins a shared array; every later access raises ``RuntimeError``.
+        """
         if not self.released:
             self.device.memory.release(self._mem_handle)
             self.released = True
+            self._array = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

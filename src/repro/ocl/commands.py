@@ -105,8 +105,9 @@ class Command:
 class WriteBufferCommand(Command):
     """Host-to-device transfer (``clEnqueueWriteBuffer``).
 
-    ``source`` may be an array (copied at execution time) or a zero-argument
-    callable producing one — FluidiCL's scheduler passes the *intermediate
+    ``source`` may be an array (read at execution time: shared if frozen,
+    else copied, see :meth:`Buffer.write_from`) or a zero-argument callable
+    producing one.  FluidiCL's scheduler passes the frozen *intermediate
     copy* it made so later subkernels can keep writing the live buffer
     (paper section 5.5).
     """

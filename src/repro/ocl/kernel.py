@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
-from repro.analysis.analyzer import span_dims
+from repro.analysis.analyzer import read_only_args, span_dims
 from repro.hw.cost import wg_time
 from repro.hw.specs import DeviceSpec
 from repro.kernels.dsl import (
@@ -76,10 +76,26 @@ class Kernel:
         return wg_time(self.cost, spec, self.variant.time_multiplier)
 
     def _resolved_args(self) -> Dict[str, Any]:
-        return {
-            name: (value.array if isinstance(value, Buffer) else value)
+        """Arguments as the body sees them.
+
+        A buffer the analyzer proves read-only
+        (:func:`repro.analysis.analyzer.read_only_args`) is passed as its
+        read-only :attr:`Buffer.view`; every other buffer as its writable
+        :attr:`Buffer.array`, made private first if it was shared.  The
+        writable ones resolve first, so a buffer bound to both kinds of
+        argument is seen through the same (private) storage.
+        """
+        views = read_only_args(self.spec)
+        resolved = {
+            name: value.array
             for name, value in self.args.items()
+            if isinstance(value, Buffer) and name not in views
         }
+        for name, value in self.args.items():
+            if name not in resolved:
+                resolved[name] = (value.view if isinstance(value, Buffer)
+                                  else value)
+        return resolved
 
     def run_workgroup(self, ndrange: NDRange, fid: int) -> None:
         """Execute the body for one flattened work-group ID (device side)."""

@@ -1,5 +1,7 @@
 """Unit tests for device buffers and their discrete address spaces."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,170 @@ class TestBuffer:
         buf.write_from(data, region=slice(2, 5))
         assert np.array_equal(buf.array[2:5], data[2:5])
         assert np.all(buf.array[:2] == 0)
+
+
+def _frozen(values, dtype=np.float32):
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+class TestCopyOnWrite:
+    """A buffer adopts frozen sources and copies only when written."""
+
+    def test_full_write_of_frozen_source_shares_it(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32)
+        src = _frozen([1, 2, 3, 4])
+        buf.write_from(src)
+        assert np.shares_memory(buf.view, src)
+
+    def test_write_of_writable_source_copies(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32)
+        src = np.arange(4, dtype=np.float32)
+        buf.write_from(src)
+        src[:] = -1
+        assert np.array_equal(buf.view, [0, 1, 2, 3])
+
+    def test_read_only_view_of_writable_base_is_copied(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32)
+        base = np.arange(4, dtype=np.float32)
+        view = base.view()
+        view.flags.writeable = False
+        buf.write_from(view)
+        base[:] = -1
+        assert np.array_equal(buf.view, [0, 1, 2, 3])
+
+    def test_dtype_cast_copies(self, gpu):
+        buf = gpu.create_buffer((2,), np.float32)
+        src = _frozen([1.5, 2.5], dtype=np.float64)
+        buf.write_from(src)
+        assert not np.shares_memory(buf.view, src)
+        assert np.array_equal(buf.view, [1.5, 2.5])
+
+    def test_array_materializes_a_private_copy(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32)
+        src = _frozen([1, 2, 3, 4])
+        buf.write_from(src)
+        buf.array[0] = 9
+        assert not np.shares_memory(buf.view, src)
+        assert np.array_equal(src, [1, 2, 3, 4])
+        assert np.array_equal(buf.view, [9, 2, 3, 4])
+
+    def test_devices_sharing_a_snapshot_stay_independent(self, gpu, cpu):
+        src = _frozen([1, 2, 3, 4])
+        gpu_buf = gpu.create_buffer((4,), np.float32)
+        cpu_buf = cpu.create_buffer((4,), np.float32)
+        gpu_buf.write_from(src)
+        cpu_buf.write_from(src)
+        gpu_buf.array[:] = 0
+        assert np.array_equal(cpu_buf.view, [1, 2, 3, 4])
+        assert np.shares_memory(cpu_buf.view, src)
+
+    def test_partial_write_of_shared_buffer_materializes(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32)
+        src = _frozen([1, 2, 3, 4])
+        buf.write_from(src)
+        buf.write_from(np.zeros(4, dtype=np.float32), region=slice(0, 2))
+        assert np.array_equal(buf.view, [0, 0, 3, 4])
+        assert np.array_equal(src, [1, 2, 3, 4])
+
+    def test_copy_from_shares_a_shared_source(self, gpu):
+        a = gpu.create_buffer((4,), np.float32)
+        b = gpu.create_buffer((4,), np.float32)
+        src = _frozen([1, 2, 3, 4])
+        a.write_from(src)
+        b.copy_from(a)
+        assert np.shares_memory(b.view, src)
+        a.array[:] = 0
+        assert np.array_equal(b.view, [1, 2, 3, 4])
+
+    def test_copy_from_copies_a_private_source(self, gpu):
+        a = gpu.create_buffer((4,), np.float32)
+        b = gpu.create_buffer((4,), np.float32)
+        a.array[:] = 5
+        b.copy_from(a)
+        a.array[:] = 0
+        assert np.array_equal(b.view, [5, 5, 5, 5])
+
+    def test_copy_from_private_source_into_shared_buffer(self, gpu):
+        a = gpu.create_buffer((4,), np.float32)
+        b = gpu.create_buffer((4,), np.float32)
+        shared = _frozen([1, 2, 3, 4])
+        b.write_from(shared)
+        a.array[:] = 7
+        b.copy_from(a)
+        a.array[:] = 0
+        assert np.array_equal(b.view, [7, 7, 7, 7])
+        assert np.array_equal(shared, [1, 2, 3, 4])
+        b.array[0] = 1
+        assert np.array_equal(b.view, [1, 7, 7, 7])
+
+    def test_snapshot_of_shared_buffer_is_the_shared_array(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32)
+        src = _frozen([1, 2, 3, 4])
+        buf.write_from(src)
+        snap = buf.snapshot()
+        assert np.shares_memory(snap, src) and not snap.flags.writeable
+
+    def test_snapshot_of_private_buffer_is_a_frozen_copy(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32)
+        buf.array[:] = 3
+        snap = buf.snapshot()
+        assert not snap.flags.writeable
+        buf.array[:] = 0
+        assert np.array_equal(snap, [3, 3, 3, 3])
+
+    def test_view_is_read_only(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32)
+        with pytest.raises(ValueError, match="read-only"):
+            buf.view[0] = 1
+        assert np.array_equal(buf.view, [0, 0, 0, 0])
+
+    def test_release_drops_the_shared_array(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32)
+        src = _frozen([1, 2, 3, 4])
+        buf.write_from(src)
+        alive = weakref.ref(src)
+        del src
+        assert alive() is not None
+        buf.release()
+        assert alive() is None
+
+
+class TestUseAfterRelease:
+    """Every transfer path refuses a released buffer, like ``array``."""
+
+    @pytest.fixture
+    def released(self, gpu):
+        buf = gpu.create_buffer((4,), np.float32, name="gone")
+        buf.write_from(np.arange(4, dtype=np.float32))
+        buf.release()
+        return buf
+
+    def test_snapshot(self, released):
+        with pytest.raises(RuntimeError, match="use after release of 'gone'"):
+            released.snapshot()
+
+    def test_read_into(self, released):
+        out = np.zeros(4, dtype=np.float32)
+        with pytest.raises(RuntimeError, match="use after release of 'gone'"):
+            released.read_into(out)
+        assert np.all(out == 0)
+
+    def test_copy_from_released_source(self, gpu, released):
+        dst = gpu.create_buffer((4,), np.float32)
+        with pytest.raises(RuntimeError, match="use after release of 'gone'"):
+            dst.copy_from(released)
+
+    def test_copy_into_released_buffer(self, gpu, released):
+        src = gpu.create_buffer((4,), np.float32)
+        with pytest.raises(RuntimeError, match="use after release of 'gone'"):
+            released.copy_from(src)
+
+    def test_write_from(self, released):
+        with pytest.raises(RuntimeError, match="use after release of 'gone'"):
+            released.write_from(np.ones(4, dtype=np.float32))
+
+    def test_view(self, released):
+        with pytest.raises(RuntimeError, match="use after release of 'gone'"):
+            _ = released.view

@@ -1,8 +1,12 @@
-"""End-to-end tests of the single-device vendor runtime."""
+"""End-to-end tests of the single-device vendor runtime, and of the
+write-buffer contract every runtime shares."""
 
 import numpy as np
 import pytest
 
+from repro.baselines.starpu.socl import SoclRuntime
+from repro.baselines.static_partition import StaticPartitionRuntime
+from repro.core.runtime import FluidiCLRuntime
 from repro.hw.specs import DeviceKind
 from repro.ocl.ndrange import NDRange
 from repro.ocl.runtime import SingleDeviceRuntime
@@ -100,3 +104,28 @@ class TestDeviceChoice:
         assert used > 0
         runtime.release()
         assert runtime.device.memory.used == 0
+
+
+@pytest.mark.parametrize("make_runtime", [
+    lambda m: SingleDeviceRuntime(m, DeviceKind.GPU),
+    lambda m: SingleDeviceRuntime(m, DeviceKind.CPU),
+    FluidiCLRuntime,
+    lambda m: StaticPartitionRuntime(m, 0.5),
+    SoclRuntime,
+], ids=["gpu-only", "cpu-only", "fluidicl", "static-partition", "socl"])
+class TestWriteBufferContract:
+    """``enqueue_write_buffer`` sends the host array's contents at the call,
+    whenever the transfer completes (``AbstractRuntime`` contract)."""
+
+    def test_host_overwrite_after_call_is_not_sent(self, machine,
+                                                   make_runtime):
+        runtime = make_runtime(machine)
+        handle = runtime.create_buffer("a", (4,), np.float32)
+        host = np.arange(4, dtype=np.float32)
+        runtime.enqueue_write_buffer(handle, host)
+        host[:] = -1
+        runtime.finish()
+        out = np.zeros(4, dtype=np.float32)
+        runtime.enqueue_read_buffer(handle, out)
+        runtime.finish()
+        assert np.array_equal(out, [0, 1, 2, 3])
