@@ -9,9 +9,11 @@ array mid-kernel, or the anchor array after an ignored execution) is marked
 
 Copy 0 always belongs to the *anchor* front (the GPU in the classic pair);
 the remaining copies belong to worker fronts.  The legacy two-device API
-(``gpu``/``cpu`` attributes, ``version_gpu``/``version_cpu``,
-``cpu_gate``, ``commit_gpu``/``commit_cpu``) is preserved as properties
-over the N-way state, so two-device callers are unchanged.
+is preserved over the N-way state, so two-device callers are unchanged:
+the properties ``gpu``/``cpu``, ``version_gpu``/``version_cpu``,
+``gpu_current``/``cpu_current``, ``cpu_gate``, ``dh_pending`` and
+``last_cpu_kernel_write``, and the methods ``commit_gpu``/``commit_cpu``
+and ``mark_gpu_refreshed``/``mark_cpu_refreshed``.
 """
 
 from __future__ import annotations
@@ -191,14 +193,6 @@ class FluidiBuffer:
         for i in range(len(self.copies)):
             if i != 0 or len(self.copies) == 1:
                 self._dh_pending[i] = value
-
-    @property
-    def last_cpu_write(self):
-        return self.last_writes[self.cpu_index]
-
-    @last_cpu_write.setter
-    def last_cpu_write(self, event) -> None:
-        self.last_writes[self.cpu_index] = event
 
     @property
     def last_cpu_kernel_write(self):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -82,6 +82,17 @@ class _KernelPlan:
     primary_index: int
     #: version each worker copy must reach before subkernels start (§5.3)
     required_cpu_versions: Dict[FluidiBuffer, int] = field(default_factory=dict)
+    #: fronts with a subkernel of this kernel whose bodies were elided
+    #: (their copies are not the kernel's result and must never commit)
+    elided_fronts: Set[int] = field(default_factory=set)
+
+    def check_commit(self, front_index: int) -> None:
+        """Refuse to commit a front copy an elided subkernel never wrote."""
+        if front_index in self.elided_fronts:
+            raise RuntimeError(
+                f"kernel k{self.kernel_id}: committing front {front_index}, "
+                f"whose copy missed the bodies of an elided subkernel"
+            )
 
     def front_args(self, spec: KernelSpec, index: int) -> Dict[str, Any]:
         return {
@@ -347,10 +358,6 @@ class FluidiCLRuntime(AbstractRuntime):
             self.machine.run_until(pending[0])
         else:
             self.machine.run_until(self.engine.all_of(pending))
-
-    def _quiesce_cpu_copy(self, handle: FluidiBuffer) -> None:
-        """Legacy name: quiesce the CPU-path copy."""
-        self._quiesce_copy(handle, self._cpu_index)
 
     def finish(self) -> None:
         """``clFinish`` on the application-visible work.
@@ -763,6 +770,7 @@ class FluidiCLRuntime(AbstractRuntime):
                     f"complete the range (frontier={leader.frontier}, "
                     f"data_lost={leader.data_lost})"
                 )
+            plan.check_commit(leader.front.index)
             for fbuf in plan.out_fbuffers:
                 fbuf.commit_front(leader.front.index, plan.kernel_id)
             record.failover = True
@@ -800,6 +808,7 @@ class FluidiCLRuntime(AbstractRuntime):
     def _commit_front_complete(self, plan: _KernelPlan, front_index: int) -> None:
         """§4.2: one front finished the whole NDRange; anchor results are
         ignored and that front's copy becomes the committed truth."""
+        plan.check_commit(front_index)
         record = plan.record
         record.cpu_completed_all = True
         record.cpu_groups = plan.ndrange.total_groups

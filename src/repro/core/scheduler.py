@@ -62,17 +62,28 @@ class CpuScheduler:
                 else f"fluidicl-sched-k{plan.kernel_id}@{self.front.name}")
         self.process = runtime.engine.process(self._run(), name=name)
 
-    @property
-    def cpu_lost(self) -> bool:
-        """Legacy alias for :attr:`front_lost`."""
-        return self.front_lost
-
     def _gpu_finished(self) -> bool:
         """Anchor kernel ran to completion.  A *cancelled* anchor event
         (device lost) does NOT count: the workers must keep going — they
         are the failover path's surviving devices."""
         event = self.plan.gpu_event
         return event.done.triggered and not event.cancelled
+
+    def _launch_live(self) -> bool:
+        """Liveness check of this front's subkernels, evaluated once at
+        each one's simulated completion (see DESIGN.md, "Dead-subkernel
+        elision").
+
+        A subkernel completing after its kernel was finalized is dead
+        unless this front leads a failover: it never ships (the board
+        never un-finalizes), and this front's copies stay DIRTY until a
+        full-buffer write queued behind it on the same in-order queue.
+        """
+        plan = self.plan
+        if not plan.board.finalized or plan.ledger.leader == self.front.index:
+            return True
+        plan.elided_fronts.add(self.front.index)
+        return False
 
     # ------------------------------------------------------------------
     def _run(self):
@@ -155,6 +166,7 @@ class CpuScheduler:
                 fid_end=end,
                 kernel_id=plan.kernel_id,
                 wg_split_allowed=config.cpu_wg_split,
+                live=self._launch_live,
             )
             began = engine.now
             event = self.front.queue.enqueue_nd_range_kernel(
@@ -185,6 +197,8 @@ class CpuScheduler:
                 self.front_lost = True
                 break
             elapsed = engine.now - began
+            if event.result.elided:
+                plan.record.elided_groups += event.result.executed_groups
 
             # §5.1/§5.2: the covering slice *executed*
             # ``launched_groups = chunk + surplus``, so the observed time

@@ -19,9 +19,14 @@ class KernelRecord:
     gpu_groups: int = 0
     #: work-groups credited to the CPU (status + data arrived in time)
     cpu_groups: int = 0
-    #: work-groups the CPU executed (including ones whose results were
-    #: ultimately ignored because the GPU got there first)
+    #: work-groups the CPU executed in simulated time (including ones
+    #: whose results were ultimately ignored because the GPU got there
+    #: first); bodies of dead subkernels may be elided, see ``elided_groups``
     cpu_groups_executed: int = 0
+    #: worker groups whose bodies were skipped on the host because their
+    #: subkernel completed after the kernel was finalized (host work only:
+    #: they still count in ``cpu_groups_executed`` and simulated time)
+    elided_groups: int = 0
     #: CPU subkernel launches
     subkernels: int = 0
     #: chunk sizes used, in launch order
@@ -73,6 +78,7 @@ class KernelRecord:
             "gpu_groups": self.gpu_groups,
             "cpu_groups": self.cpu_groups,
             "cpu_groups_executed": self.cpu_groups_executed,
+            "elided_groups": self.elided_groups,
             "subkernels": self.subkernels,
             "surplus_groups": self.surplus_groups,
             "cpu_completed_all": self.cpu_completed_all,

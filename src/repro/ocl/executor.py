@@ -16,7 +16,7 @@ is exactly the transformed kernel's check granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
 from repro.ocl.kernel import Kernel
 from repro.ocl.ndrange import NDRange
@@ -92,6 +92,10 @@ class LaunchConfig:
     kernel_id: int = 0
     #: allow §6.3 work-group splitting for small CPU allocations
     wg_split_allowed: bool = False
+    #: liveness check, evaluated once at the launch's simulated completion;
+    #: False means nothing will ever read the launch's results, so its
+    #: bodies are not run (the simulated execution is unchanged)
+    live: Optional[Callable[[], bool]] = None
 
     def window(self, ndrange: NDRange) -> Tuple[int, int]:
         end = self.fid_end if self.fid_end is not None else ndrange.total_groups
@@ -107,7 +111,8 @@ class LaunchConfig:
 class KernelRunResult:
     """What one launch actually did on its device."""
 
-    #: fid ranges whose bodies this device executed
+    #: fid ranges this device executed in simulated time; their bodies
+    #: ran on the host unless the launch was ``elided``
     executed: List[Tuple[int, int]] = field(default_factory=list)
     #: work-groups skipped or aborted because the CPU beat the device to them
     aborted_groups: int = 0
@@ -120,6 +125,9 @@ class KernelRunResult:
     #: True when the device was lost mid-launch; ``executed`` then holds
     #: only the waves that completed before the loss
     device_lost: bool = False
+    #: True when the launch's liveness check found its results dead at
+    #: completion and the bodies of ``executed`` were skipped
+    elided: bool = False
 
     @property
     def executed_groups(self) -> int:
@@ -196,7 +204,7 @@ def run_kernel(
         result.split_used = True
         result.waves = 1
         health.beat()
-        _finish(device, kernel, ndrange, result, engine.now)
+        _finish(device, kernel, ndrange, launch, result, engine.now)
         return result
 
     # -- wave execution -----------------------------------------------------
@@ -237,7 +245,7 @@ def run_kernel(
         health.beat()
         i = i_next
 
-    _finish(device, kernel, ndrange, result, engine.now)
+    _finish(device, kernel, ndrange, launch, result, engine.now)
     return result
 
 
@@ -280,20 +288,26 @@ def _monitored_wave(engine, spec, board, t_wg, granularity, i, j):
         )
 
 
-def _finish(device, kernel: Kernel, ndrange: NDRange, result: KernelRunResult,
-            now: float) -> None:
-    # Adjacent waves coalesce into maximal contiguous runs: the same groups
-    # in the same order, in as few body dispatches as possible.
-    run_lo = run_hi = None
-    for lo, hi in result.executed:
-        if lo == run_hi:
-            run_hi = hi
-            continue
+def _finish(device, kernel: Kernel, ndrange: NDRange, launch: LaunchConfig,
+            result: KernelRunResult, now: float) -> None:
+    if launch.live is not None and not launch.live():
+        # Dead results (e.g. a worker subkernel outliving its finalized
+        # kernel): everything is simulated as before, only the host-side
+        # NumPy bodies are skipped.
+        result.elided = True
+    else:
+        # Adjacent waves coalesce into maximal contiguous runs: the same
+        # groups in the same order, in as few body dispatches as possible.
+        run_lo = run_hi = None
+        for lo, hi in result.executed:
+            if lo == run_hi:
+                run_hi = hi
+                continue
+            if run_hi is not None:
+                kernel.run_span(ndrange, run_lo, run_hi)
+            run_lo, run_hi = lo, hi
         if run_hi is not None:
             kernel.run_span(ndrange, run_lo, run_hi)
-        run_lo, run_hi = lo, hi
-    if run_hi is not None:
-        kernel.run_span(ndrange, run_lo, run_hi)
     device.stats["workgroups_executed"] += result.executed_groups
     device.stats["workgroups_aborted"] += result.aborted_groups
     result.end_time = now
