@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.hw.machine import Machine, build_machine
 from repro.kernels.transforms import cpu_subkernel_variant, plain_variant
-from repro.ocl.buffer import frozen_copy
+from repro.ocl.buffer import frozen
 from repro.ocl.enums import MemFlag
 from repro.ocl.executor import LaunchConfig
 from repro.ocl.kernel import Kernel
@@ -97,7 +97,7 @@ class StaticPartitionRuntime(AbstractRuntime):
     def enqueue_write_buffer(self, handle: _DualBuffer,
                              host_array: np.ndarray) -> None:
         self.machine.host_api_call()
-        snapshot = frozen_copy(host_array)
+        snapshot = frozen(host_array)
         if self.gpu_fraction > 0.0:
             self.gpu_queue.enqueue_write_buffer(handle.gpu, snapshot)
         if self.gpu_fraction < 1.0:

@@ -44,7 +44,7 @@ from repro.hw.machine import Machine
 from repro.hw.specs import DeviceKind
 from repro.kernels.dsl import KernelSpec
 from repro.kernels.transforms import gpu_fluidic_variant, plain_variant
-from repro.ocl.buffer import Buffer, frozen_copy
+from repro.ocl.buffer import Buffer, frozen
 from repro.ocl.enums import MemFlag
 from repro.ocl.events import CLEvent
 from repro.ocl.executor import LaunchConfig, StatusBoard
@@ -243,13 +243,14 @@ class FluidiCLRuntime(AbstractRuntime):
                              host_array: np.ndarray) -> None:
         """``clEnqueueWriteBuffer``: one host call, one transfer per device.
 
-        The host array is copied once, at the call, into a frozen snapshot
-        that every device mirror then shares (copy-on-write, see
-        :class:`~repro.ocl.buffer.Buffer`).
+        Every device mirror shares one frozen snapshot of the host array
+        (copy-on-write, see :class:`~repro.ocl.buffer.Buffer`): a frozen
+        host array is that snapshot itself, anything else is copied once,
+        at the call (:func:`~repro.ocl.buffer.frozen`).
         """
         self.machine.host_api_call()
         version = next(self._versions)
-        snapshot = frozen_copy(host_array)
+        snapshot = frozen(host_array)
         # A lost device gets no copy — and, crucially, must not be marked
         # current, or later reads would serve stale data from it.
         ok = [not front.lost for front in self.device_set.fronts]

@@ -9,20 +9,28 @@ import numpy as np
 
 from repro.ocl.enums import MemFlag
 
-__all__ = ["Buffer", "frozen_copy"]
+__all__ = ["Buffer", "frozen"]
 
 _buffer_ids = itertools.count(1)
 
 
-def frozen_copy(array) -> np.ndarray:
-    """A read-only copy of ``array`` that nothing else references: the
-    form in which runtimes take host data, so device buffers can share it."""
+def frozen(array) -> np.ndarray:
+    """``array`` as a frozen ndarray: the form in which runtimes take host
+    data, so device buffers can share it.
+
+    A frozen ndarray (see :func:`_frozen`) is returned unchanged — it can
+    never change, so sharing it is safe.  Anything else (a writable array,
+    a read-only view of a writable base, a list) gets one read-only copy
+    that nothing else references.
+    """
+    if _frozen(array):
+        return array
     out = np.array(array, copy=True)
     out.flags.writeable = False
     return out
 
 
-def _frozen(array: np.ndarray) -> bool:
+def _frozen(array) -> bool:
     """True when ``array`` and every array it views are read-only.
 
     Such an array is treated as immutable: whoever clears an array's
@@ -44,9 +52,10 @@ class Buffer:
     makes the coherence work of the runtimes above observable and testable.
     Physically it is one of two things (copy-on-write):
 
-    * a **private** writable NumPy array, or
+    * a **private** writable NumPy array — a fresh buffer starts on its
+      own zeros — or
     * a **shared** frozen array (read-only, like every array it views; see
-      :func:`frozen_copy`) that other buffers and the host may hold too: a
+      :func:`frozen`) that other buffers and the host may hold too: a
       full-buffer :meth:`write_from` or a :meth:`copy_from` of a frozen
       source adopts the source instead of copying it.
 
@@ -149,8 +158,7 @@ class Buffer:
     def snapshot(self) -> np.ndarray:
         """The current contents as a frozen array: the shared array itself,
         or one frozen copy of the private one."""
-        array = self._live()
-        return frozen_copy(array) if array.flags.writeable else array
+        return frozen(self._live())
 
     def release(self) -> None:
         """Free the device allocation (``clReleaseMemObject``).

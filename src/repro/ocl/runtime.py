@@ -19,7 +19,7 @@ import numpy as np
 from repro.hw.machine import Machine
 from repro.kernels.dsl import KernelSpec
 from repro.kernels.transforms import plain_variant
-from repro.ocl.buffer import Buffer, frozen_copy
+from repro.ocl.buffer import Buffer, frozen
 from repro.ocl.enums import MemFlag
 from repro.ocl.kernel import Kernel
 from repro.ocl.ndrange import NDRange
@@ -67,8 +67,11 @@ class AbstractRuntime(abc.ABC):
         """``clEnqueueWriteBuffer`` from a host array.
 
         The devices receive the array's contents *at the call*: the host
-        may overwrite or reuse ``host_array`` as soon as the call returns,
-        whenever the transfer itself completes.
+        may overwrite or reuse a writable ``host_array`` as soon as the
+        call returns, whenever the transfer itself completes.  A frozen
+        array (read-only, like every array it views; see
+        :func:`repro.ocl.buffer.frozen`) can never change, so it is
+        adopted rather than copied — the ``CL_MEM_USE_HOST_PTR`` analogue.
         """
 
     @abc.abstractmethod
@@ -125,7 +128,7 @@ class SingleDeviceRuntime(AbstractRuntime):
 
     def enqueue_write_buffer(self, handle: Buffer, host_array: np.ndarray) -> None:
         self.machine.host_api_call()
-        self.queue.enqueue_write_buffer(handle, frozen_copy(host_array))
+        self.queue.enqueue_write_buffer(handle, frozen(host_array))
         self.stats.writes += 1
 
     def enqueue_nd_range_kernel(self, versions: KernelVersions, ndrange: NDRange,

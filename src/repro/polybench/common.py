@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.kernels.dsl import KernelSpec
 from repro.kernels.validation import relative_error
+from repro.ocl.buffer import frozen
 from repro.ocl.ndrange import NDRange
 from repro.ocl.runtime import AbstractRuntime
 
@@ -101,7 +102,16 @@ class PolybenchApp(abc.ABC):
         return (self.name.upper(), self.input_size_label, len(metas), groups)
 
     def fresh_inputs(self) -> Dict[str, np.ndarray]:
-        return self.build_inputs(np.random.default_rng(self.seed))
+        """The seeded inputs, frozen: every array is read-only and views
+        no writable array, so runtimes adopt it instead of copying it
+        (:func:`repro.ocl.buffer.frozen`), and a host program that writes
+        its inputs raises ``ValueError``."""
+        inputs = self.build_inputs(np.random.default_rng(self.seed))
+        for key, array in inputs.items():
+            array.flags.writeable = False
+            # copies only a view whose base is still writable
+            inputs[key] = frozen(array)
+        return inputs
 
     def execute(self, runtime: AbstractRuntime,
                 inputs: Optional[Dict[str, np.ndarray]] = None,

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.hw.memory import OutOfDeviceMemoryError
+from repro.ocl.buffer import _frozen as is_frozen
+from repro.ocl.buffer import frozen
 from repro.ocl.platform import Platform
 
 
@@ -224,6 +226,31 @@ class TestCopyOnWrite:
         assert alive() is not None
         buf.release()
         assert alive() is None
+
+    def test_frozen_returns_a_frozen_array_as_is(self):
+        src = _frozen([1, 2, 3, 4])
+        assert frozen(src) is src
+
+    @pytest.mark.parametrize("source", [
+        lambda: np.arange(4, dtype=np.float32),
+        lambda: _read_only_view(np.arange(4, dtype=np.float32)),
+        lambda: [0.0, 1.0, 2.0, 3.0],
+        lambda: np.frombuffer(np.arange(4, dtype=np.float32).tobytes(),
+                              dtype=np.float32),
+    ], ids=["writable", "read-only-view-of-writable", "list", "frombuffer"])
+    def test_frozen_copies_anything_not_frozen(self, source):
+        src = source()
+        out = frozen(src)
+        assert is_frozen(out)
+        assert np.array_equal(out, [0, 1, 2, 3])
+        if isinstance(src, np.ndarray):
+            assert not np.shares_memory(out, src)
+
+
+def _read_only_view(base):
+    view = base.view()
+    view.flags.writeable = False
+    return view
 
 
 class TestUseAfterRelease:

@@ -203,7 +203,7 @@ def test_sharing_writable_arrays_fails_the_differential_oracle(monkeypatch):
             self.array.reshape(-1)[region] = src.reshape(-1)[region]
 
     monkeypatch.setattr(Buffer, "write_from", aliasing_write_from)
-    monkeypatch.setattr(core_runtime, "frozen_copy",
+    monkeypatch.setattr(core_runtime, "frozen",
                         lambda array: np.array(array, copy=True))
     oracle = differential.TestDenseAppsCooperativeVsSingle()
     failures = []

@@ -8,6 +8,7 @@ from repro.baselines.starpu.socl import SoclRuntime
 from repro.baselines.static_partition import StaticPartitionRuntime
 from repro.core.runtime import FluidiCLRuntime
 from repro.hw.specs import DeviceKind
+from repro.ocl.buffer import Buffer
 from repro.ocl.ndrange import NDRange
 from repro.ocl.runtime import SingleDeviceRuntime
 
@@ -129,3 +130,29 @@ class TestWriteBufferContract:
         runtime.enqueue_read_buffer(handle, out)
         runtime.finish()
         assert np.array_equal(out, [0, 1, 2, 3])
+
+    def test_frozen_host_array_is_adopted_not_copied(self, machine,
+                                                     make_runtime):
+        runtime = make_runtime(machine)
+        handle = runtime.create_buffer("a", (4,), np.float32)
+        host = np.arange(4, dtype=np.float32)
+        host.flags.writeable = False
+        runtime.enqueue_write_buffer(handle, host)
+        runtime.finish()
+        # SOCL stages every write through a copy of its own, by design
+        if not isinstance(runtime, SoclRuntime):
+            for mirror in _device_mirrors(handle):
+                assert np.shares_memory(mirror.view, host)
+        out = np.zeros(4, dtype=np.float32)
+        runtime.enqueue_read_buffer(handle, out)
+        runtime.finish()
+        assert np.array_equal(out, [0, 1, 2, 3])
+
+
+def _device_mirrors(handle):
+    """Every device ``Buffer`` behind a runtime's buffer handle."""
+    if isinstance(handle, Buffer):
+        return [handle]
+    if hasattr(handle, "copies"):
+        return list(handle.copies)
+    return [handle.gpu, handle.cpu]

@@ -6,8 +6,10 @@ import pytest
 from repro.baselines.starpu import SoclRuntime
 from repro.baselines.static_partition import StaticPartitionRuntime
 from repro.core.runtime import FluidiCLRuntime
+from repro.harness.workloads import MatrixScaleApp, VolumeSquareApp
 from repro.hw.machine import build_machine
 from repro.hw.specs import DeviceKind
+from repro.ocl.buffer import _frozen
 from repro.ocl.runtime import SingleDeviceRuntime
 from repro.polybench import EXTENDED_SUITE, make_app
 
@@ -54,6 +56,20 @@ def test_inputs_reproducible_from_seed(app_name):
     b = app.fresh_inputs()
     for key in a:
         assert np.array_equal(a[key], b[key])
+
+
+@pytest.mark.parametrize("app", [
+    *(make_app(name, "test") for name in EXTENDED_SUITE),
+    MatrixScaleApp(n=64),
+    VolumeSquareApp(side=16),
+], ids=lambda app: app.name)
+def test_fresh_inputs_are_frozen(app):
+    """Runtimes adopt frozen inputs without copying them, so a host
+    program that writes one must fail loudly, not diverge silently."""
+    for key, array in app.fresh_inputs().items():
+        assert _frozen(array), key
+        with pytest.raises(ValueError, match="read-only"):
+            array.reshape(-1)[0] = 0
 
 
 def test_corr_with_tuned_kernel_still_correct():
