@@ -15,6 +15,7 @@ itself a seeded tie-break, see ``Engine.set_interleave_jitter``).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -235,7 +236,7 @@ class ScheduleFuzzer:
         """
         rng = random.Random(f"fluidicl-serve-fuzz:{seed}")
         arrival = ("poisson", "burst", "closed")[seed % 3]
-        machine = self.machines[seed % len(self.machines)]
+        machine = self.machines[_crossed_index(seed, 3, len(self.machines))]
         fault_seed = None
         fault_n = 0
         if self.faults and rng.random() < 0.5:
@@ -264,6 +265,22 @@ class ScheduleFuzzer:
 
     def configs(self, n: int, start: int = 0) -> List[FuzzConfig]:
         return [self.config(seed) for seed in range(start, start + n)]
+
+
+def _crossed_index(seed: int, axis: int, n: int) -> int:
+    """Index into ``n`` choices, crossed with a ``seed % axis`` draw so
+    that consecutive seeds cover every pair of the two axes.
+
+    Plain ``seed % n`` aliases the two axes whenever ``axis`` and ``n``
+    share a factor (three arrival models on three presets would reach
+    only three of nine pairs).  Shifting by one every ``lcm(axis, n)``
+    seeds, modulo ``gcd(axis, n)``, walks through the missing pairs: any
+    ``lcm(axis, n) * gcd(axis, n)`` consecutive seeds cover all pairs.
+    It draws no rng, and with coprime axes (one preset, in particular)
+    it is plain ``seed % n``.
+    """
+    shift = (seed // math.lcm(axis, n)) % math.gcd(axis, n)
+    return (seed + shift) % n
 
 
 class _Corruptor:

@@ -192,25 +192,21 @@ class CoherenceMonitor:
         if self.strict:
             raise InvariantViolationError(violation)
 
-    def _check(self, condition: bool, invariant: str, message: str,
-               ts: float, kernel_id: Optional[int] = None,
-               buffer: Optional[str] = None) -> bool:
-        self.checks += 1
-        if not condition:
-            self._flag(invariant, message, ts, kernel_id, buffer)
-        return condition
+    # Every check below is ``self.checks += 1`` then ``_flag`` on failure:
+    # the message is formatted only when the check fails.
 
     # -- ingestion ---------------------------------------------------------
     def observe(self, event: TraceEvent) -> None:
         # Invariant #11: the stream is monotone in simulated time.
         ts = event.ts
-        self._check(
-            ts >= self._last_ts, "clock-monotonicity",
-            f"{event.category} at {ts!r}s observed after an event at "
-            f"{self._last_ts!r}s (simulated clock ran backwards)",
-            ts,
-        )
-        if ts > self._last_ts:
+        last = self._last_ts
+        self.checks += 1
+        if not ts >= last:
+            self._flag(
+                "clock-monotonicity",
+                f"{event.category} at {ts!r}s observed after an event at "
+                f"{last!r}s (simulated clock ran backwards)", ts)
+        elif ts > last:
             self._last_ts = ts
         handler = self._HANDLERS.get(event.category)
         if handler is not None:
@@ -222,37 +218,38 @@ class CoherenceMonitor:
         kernel unfinished."""
         for state in self._kernels.values():
             if not state.ended:
-                self._check(
-                    aborted, "commit-consistency",
-                    f"kernel {state.name!r} began but never ended",
-                    ts=0.0, kernel_id=state.kernel_id,
-                )
+                self.checks += 1
+                if not aborted:
+                    self._flag(
+                        "commit-consistency",
+                        f"kernel {state.name!r} began but never ended",
+                        ts=0.0, kernel_id=state.kernel_id)
         # Invariant #12: after a drained run, every job has resolved —
         # admission happened at submission, and every admitted job ran to
         # job_done (admitted + shed == submitted, completed == admitted).
         for job_id, phase in self._job_state.items():
             if phase == "submitted":
-                self._check(
-                    False, "serve-accounting",
+                self.checks += 1
+                self._flag(
+                    "serve-accounting",
                     f"job {job_id} was submitted but neither admitted nor "
-                    f"shed (admission conservation broken)",
-                    ts=0.0,
-                )
+                    f"shed (admission conservation broken)", ts=0.0)
             elif phase in ("admitted", "started"):
-                self._check(
-                    aborted, "serve-accounting",
-                    f"job {job_id} ended the run in state {phase!r} "
-                    f"(admitted but never finished)",
-                    ts=0.0,
-                )
+                self.checks += 1
+                if not aborted:
+                    self._flag(
+                        "serve-accounting",
+                        f"job {job_id} ended the run in state {phase!r} "
+                        f"(admitted but never finished)", ts=0.0)
 
     # -- handlers ----------------------------------------------------------
     def _on_kernel_begin(self, event: TraceEvent) -> None:
         kernel_id = event["kernel_id"]
-        self._check(
-            kernel_id not in self._kernels, "commit-consistency",
-            f"kernel id {kernel_id} launched twice", event.ts, kernel_id,
-        )
+        self.checks += 1
+        if kernel_id in self._kernels:
+            self._flag("commit-consistency",
+                       f"kernel id {kernel_id} launched twice", event.ts,
+                       kernel_id)
         self._kernels[kernel_id] = _KernelState(
             kernel_id=kernel_id,
             name=str(event.get("kernel", "")),
@@ -277,12 +274,14 @@ class CoherenceMonitor:
         lo, hi = int(event["fid_start"]), int(event["fid_end"])
         redo = bool(event.get("redo", False))
         device = str(event.get("device", "cpu"))
-        ok = self._check(
-            0 <= lo < hi <= state.total_groups, "cpu-front-partition",
-            f"window [{lo}, {hi}) outside NDRange with "
-            f"{state.total_groups} groups",
-            event.ts, state.kernel_id,
-        )
+        ok = 0 <= lo < hi <= state.total_groups
+        self.checks += 1
+        if not ok:
+            self._flag(
+                "cpu-front-partition",
+                f"window [{lo}, {hi}) outside NDRange with "
+                f"{state.total_groups} groups",
+                event.ts, state.kernel_id)
         if redo:
             # Failover re-execution of a lost front's span: it does not
             # continue the descending claim front, but it must re-cover
@@ -292,23 +291,24 @@ class CoherenceMonitor:
                     w for d, ws in state.front_windows.items()
                     if d != device for w in ws
                 )
-                self._check(
-                    any(s <= lo and hi <= e for s, e in foreign),
-                    "front-partition",
-                    f"redo window [{lo}, {hi}) on {device!r} re-covers a "
-                    f"range no other front had claimed",
-                    event.ts, state.kernel_id,
-                )
+                self.checks += 1
+                if not any(s <= lo and hi <= e for s, e in foreign):
+                    self._flag(
+                        "front-partition",
+                        f"redo window [{lo}, {hi}) on {device!r} re-covers "
+                        f"a range no other front had claimed",
+                        event.ts, state.kernel_id)
             state.redo_windows.append((lo, hi))
             return
         if ok:
-            self._check(
-                hi == state.next_window_end, "cpu-front-partition",
-                f"window [{lo}, {hi}) does not continue the worker front at "
-                f"{state.next_window_end} (gap or overlap in the flattened "
-                f"range)",
-                event.ts, state.kernel_id,
-            )
+            self.checks += 1
+            if hi != state.next_window_end:
+                self._flag(
+                    "cpu-front-partition",
+                    f"window [{lo}, {hi}) does not continue the worker "
+                    f"front at {state.next_window_end} (gap or overlap in "
+                    f"the flattened range)",
+                    event.ts, state.kernel_id)
         state.windows.append((lo, hi))
         state.front_windows.setdefault(device, []).append((lo, hi))
         state.next_window_end = min(lo, state.next_window_end)
@@ -318,24 +318,27 @@ class CoherenceMonitor:
         if state is None or not event.get("accepted", False):
             return
         frontier = int(event["frontier"])
-        self._check(
-            0 <= frontier <= state.total_groups, "frontier-monotonicity",
-            f"frontier {frontier} outside [0, {state.total_groups}]",
-            event.ts, state.kernel_id,
-        )
-        self._check(
-            frontier < state.frontier, "frontier-monotonicity",
-            f"accepted frontier {frontier} does not decrease "
-            f"(previous {state.frontier})",
-            event.ts, state.kernel_id,
-        )
-        self._check(
-            frontier >= state.next_window_end, "frontier-monotonicity",
-            f"frontier {frontier} claims completion below the lowest "
-            f"launched window start {state.next_window_end} "
-            f"(status ahead of execution)",
-            event.ts, state.kernel_id,
-        )
+        self.checks += 1
+        if not 0 <= frontier <= state.total_groups:
+            self._flag(
+                "frontier-monotonicity",
+                f"frontier {frontier} outside [0, {state.total_groups}]",
+                event.ts, state.kernel_id)
+        self.checks += 1
+        if frontier >= state.frontier:
+            self._flag(
+                "frontier-monotonicity",
+                f"accepted frontier {frontier} does not decrease "
+                f"(previous {state.frontier})",
+                event.ts, state.kernel_id)
+        self.checks += 1
+        if frontier < state.next_window_end:
+            self._flag(
+                "frontier-monotonicity",
+                f"frontier {frontier} claims completion below the lowest "
+                f"launched window start {state.next_window_end} "
+                f"(status ahead of execution)",
+                event.ts, state.kernel_id)
         state.frontier = min(frontier, state.frontier)
 
     def _on_merge_enqueued(self, event: TraceEvent) -> None:
@@ -343,11 +346,12 @@ class CoherenceMonitor:
         if state is None:
             return
         state.merges_enqueued += 1
-        self._check(
-            int(event.get("cpu_groups", 0)) > 0, "overlap-merge",
-            "merge enqueued although the CPU completed no groups",
-            event.ts, state.kernel_id, event.get("buffer"),
-        )
+        self.checks += 1
+        if int(event.get("cpu_groups", 0)) <= 0:
+            self._flag(
+                "overlap-merge",
+                "merge enqueued although the CPU completed no groups",
+                event.ts, state.kernel_id, event.get("buffer"))
 
     def _on_merge_done(self, event: TraceEvent) -> None:
         state = self._state(event)
@@ -358,33 +362,37 @@ class CoherenceMonitor:
             return  # device died under the merge; accounting is void
         merged = int(event["nbytes_merged"])
         total = int(event["nbytes_buffer"])
-        self._check(
-            0 <= merged <= total, "merge-accounting",
-            f"merged {merged} bytes of a {total}-byte buffer",
-            event.ts, state.kernel_id, event.get("buffer"),
-        )
+        self.checks += 1
+        if not 0 <= merged <= total:
+            self._flag(
+                "merge-accounting",
+                f"merged {merged} bytes of a {total}-byte buffer",
+                event.ts, state.kernel_id, event.get("buffer"))
 
     def _on_commit(self, event: TraceEvent) -> None:
         state = self._state(event)
         if state is None:
             return
         path = str(event.get("path", ""))
-        self._check(
-            state.commit_path is None, "commit-consistency",
-            f"kernel committed twice ({state.commit_path!r} then {path!r})",
-            event.ts, state.kernel_id,
-        )
+        self.checks += 1
+        if state.commit_path is not None:
+            self._flag(
+                "commit-consistency",
+                f"kernel committed twice ({state.commit_path!r} then "
+                f"{path!r})",
+                event.ts, state.kernel_id)
         state.commit_path = path
         for name in event.get("buffers", ()):
             self._bump_version(name, state.kernel_id, event.ts)
 
     def _bump_version(self, buffer: str, version: int, ts: float) -> None:
         previous = self._latest.get(buffer)
-        self._check(
-            previous is None or version > previous, "version-monotonicity",
-            f"committed version {version} not newer than {previous}",
-            ts, buffer=buffer,
-        )
+        self.checks += 1
+        if previous is not None and version <= previous:
+            self._flag(
+                "version-monotonicity",
+                f"committed version {version} not newer than {previous}",
+                ts, buffer=buffer)
         self._latest[buffer] = max(version, self._latest.get(buffer, version))
 
     def _on_buffer_write(self, event: TraceEvent) -> None:
@@ -397,24 +405,26 @@ class CoherenceMonitor:
         if version is None:
             return  # producer predates version stamping
         latest = self._latest.get(buffer, int(version))
-        self._check(
-            int(version) >= latest, "stale-read",
-            f"read served version {version}, but version {latest} was "
-            f"already committed",
-            event.ts, buffer=buffer,
-        )
+        self.checks += 1
+        if int(version) < latest:
+            self._flag(
+                "stale-read",
+                f"read served version {version}, but version {latest} was "
+                f"already committed",
+                event.ts, buffer=buffer)
 
     def _on_stale_discard(self, event: TraceEvent) -> None:
         kernel_id = event.get("kernel_id")
         superseded_by = event.get("superseded_by")
         if superseded_by is None or kernel_id is None:
             return
-        self._check(
-            int(superseded_by) > int(kernel_id), "stale-discard",
-            f"data of kernel {kernel_id} discarded in favour of "
-            f"non-newer version {superseded_by}",
-            event.ts, kernel_id, event.get("buffer"),
-        )
+        self.checks += 1
+        if int(superseded_by) <= int(kernel_id):
+            self._flag(
+                "stale-discard",
+                f"data of kernel {kernel_id} discarded in favour of "
+                f"non-newer version {superseded_by}",
+                event.ts, kernel_id, event.get("buffer"))
 
     def _on_kernel_end(self, event: TraceEvent) -> None:
         state = self._state(event)
@@ -425,84 +435,84 @@ class CoherenceMonitor:
         gpu_groups = int(event.get("gpu_groups", 0))
         cpu_groups = int(event.get("cpu_groups", 0))
         total = state.total_groups
-        self._check(
-            state.commit_path == path, "commit-consistency",
-            f"kernel ended on path {path!r} but committed on "
-            f"{state.commit_path!r}",
-            event.ts, state.kernel_id,
-        )
+        ts, kernel_id = event.ts, state.kernel_id
+        self.checks += 1
+        if state.commit_path != path:
+            self._flag(
+                "commit-consistency",
+                f"kernel ended on path {path!r} but committed on "
+                f"{state.commit_path!r}", ts, kernel_id)
+        self.checks += 1
         if path in ("cpu-complete", "failover"):
-            self._check(
-                cpu_groups == total, "coverage",
-                f"{path} path completed only {cpu_groups} of {total} groups",
-                event.ts, state.kernel_id,
-            )
-        else:
-            self._check(
-                gpu_groups + cpu_groups >= total, "coverage",
+            if cpu_groups != total:
+                self._flag(
+                    "coverage",
+                    f"{path} path completed only {cpu_groups} of {total} "
+                    f"groups", ts, kernel_id)
+        elif gpu_groups + cpu_groups < total:
+            self._flag(
+                "coverage",
                 f"gpu={gpu_groups} + cpu={cpu_groups} groups do not cover "
-                f"the {total}-group NDRange (work lost)",
-                event.ts, state.kernel_id,
-            )
+                f"the {total}-group NDRange (work lost)", ts, kernel_id)
         if path == "merged":
-            self._check(
-                state.merges_enqueued >= 1, "overlap-merge",
-                "merged path ended without any merge enqueued",
-                event.ts, state.kernel_id,
-            )
-            self._check(
-                state.merges_reported == state.merges_enqueued,
-                "merge-accounting",
-                f"{state.merges_enqueued} merges enqueued but only "
-                f"{state.merges_reported} reported byte accounting",
-                event.ts, state.kernel_id,
-            )
+            self.checks += 1
+            if state.merges_enqueued < 1:
+                self._flag("overlap-merge",
+                           "merged path ended without any merge enqueued",
+                           ts, kernel_id)
+            self.checks += 1
+            if state.merges_reported != state.merges_enqueued:
+                self._flag(
+                    "merge-accounting",
+                    f"{state.merges_enqueued} merges enqueued but only "
+                    f"{state.merges_reported} reported byte accounting",
+                    ts, kernel_id)
         elif path == "gpu-only":
-            self._check(
-                cpu_groups == 0, "overlap-merge",
-                f"gpu-only path dropped {cpu_groups} CPU-completed groups "
-                f"without a merge",
-                event.ts, state.kernel_id,
-            )
+            self.checks += 1
+            if cpu_groups != 0:
+                self._flag(
+                    "overlap-merge",
+                    f"gpu-only path dropped {cpu_groups} CPU-completed "
+                    f"groups without a merge", ts, kernel_id)
         # Invariant #10: the fronts partition the claimed range exactly.
         claimed = sorted(
             w for ws in state.front_windows.values() for w in ws
         )
-        self._check(
-            all(claimed[i][1] <= claimed[i + 1][0]
-                for i in range(len(claimed) - 1)),
-            "front-partition",
-            "worker-front windows overlap across fronts",
-            event.ts, state.kernel_id,
-        )
+        self.checks += 1
+        if not all(claimed[i][1] <= claimed[i + 1][0]
+                   for i in range(len(claimed) - 1)):
+            self._flag("front-partition",
+                       "worker-front windows overlap across fronts",
+                       ts, kernel_id)
         covered = sum(hi - lo for lo, hi in claimed)
-        self._check(
-            covered == total - state.next_window_end, "front-partition",
-            f"fronts claimed {covered} groups but descended to "
-            f"{state.next_window_end} of {total} (every flattened ID must "
-            f"be claimed exactly once)",
-            event.ts, state.kernel_id,
-        )
+        self.checks += 1
+        if covered != total - state.next_window_end:
+            self._flag(
+                "front-partition",
+                f"fronts claimed {covered} groups but descended to "
+                f"{state.next_window_end} of {total} (every flattened ID "
+                f"must be claimed exactly once)", ts, kernel_id)
 
     # -- invariant #12: serving-layer accounting ---------------------------
     def _on_job_submitted(self, event: TraceEvent) -> None:
         job_id = int(event["job_id"])
-        self._check(
-            job_id not in self._job_state, "serve-accounting",
-            f"job id {job_id} submitted twice", event.ts,
-        )
+        self.checks += 1
+        if job_id in self._job_state:
+            self._flag("serve-accounting", f"job id {job_id} submitted twice",
+                       event.ts)
         self._job_state[job_id] = "submitted"
 
     def _job_transition(self, event: TraceEvent, expected: str,
                         new_state: str) -> bool:
         job_id = int(event["job_id"])
         current = self._job_state.get(job_id)
-        ok = self._check(
-            current == expected, "serve-accounting",
-            f"{event.category} for job {job_id} in state {current!r} "
-            f"(expected {expected!r})",
-            event.ts,
-        )
+        ok = current == expected
+        self.checks += 1
+        if not ok:
+            self._flag(
+                "serve-accounting",
+                f"{event.category} for job {job_id} in state {current!r} "
+                f"(expected {expected!r})", event.ts)
         self._job_state[job_id] = new_state
         return ok
 
@@ -522,12 +532,13 @@ class CoherenceMonitor:
         pending = self._job_pending.get(tenant)
         job_id = int(event["job_id"])
         expected = pending.popleft() if pending else None
-        self._check(
-            expected == job_id, "serve-accounting",
-            f"tenant {tenant!r} started job {job_id} ahead of its earlier "
-            f"admitted job {expected} (per-tenant FIFO order broken)",
-            event.ts,
-        )
+        self.checks += 1
+        if expected != job_id:
+            self._flag(
+                "serve-accounting",
+                f"tenant {tenant!r} started job {job_id} ahead of its "
+                f"earlier admitted job {expected} (per-tenant FIFO order "
+                f"broken)", event.ts)
 
     def _on_job_done(self, event: TraceEvent) -> None:
         self._job_transition(event, "started", "done")

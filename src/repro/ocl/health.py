@@ -22,9 +22,9 @@ completed wave/command; the runtime watchdog reads it to tell "slow" from
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
-from repro.sim.core import Engine
+from repro.sim.core import Engine, Event
 from repro.sim.sync import Gate
 from repro.sim.timebase import from_ticks
 
@@ -124,21 +124,29 @@ class DeviceHealth:
     def pending_transfer_faults(self, direction: str) -> int:
         return self._pending_transfer_faults.get(direction, 0)
 
+    def stall_wait(self) -> Optional[Event]:
+        """The event to sleep on while the device is stalled: the end of
+        the stall, or a loss declaration (injected, or watchdog escalation)
+        interrupting it.  None once the device is ready or lost; waiters
+        re-check after every wakeup."""
+        if self.lost:
+            return None
+        remaining = self._stalled_until - self.engine.now
+        if remaining <= 0:
+            return None
+        return self.engine.any_of([
+            self.engine.timeout(remaining),
+            self._lost_gate.wait(),
+        ])
+
     def wait_ready(self):
         """Generator: wait out any stall.  Returns True if the device is
         (or becomes) lost while waiting, False once it is ready."""
         while True:
-            if self.lost:
-                return True
-            remaining = self._stalled_until - self.engine.now
-            if remaining <= 0:
-                return False
-            # Sleep until the stall clears — or until a loss declaration
-            # (injected, or watchdog escalation) interrupts the wait.
-            yield self.engine.any_of([
-                self.engine.timeout(remaining),
-                self._lost_gate.wait(),
-            ])
+            wait = self.stall_wait()
+            if wait is None:
+                return self.lost
+            yield wait
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("lost" if self.lost

@@ -254,6 +254,9 @@ def run_serve(config: ServeConfig,
     machine.engine.run()
     aborted = all(d.health.lost for d in server.platform.devices)
     monitor.final_check(aborted=aborted)
+    # The engine is freed only by the cyclic GC (its ``timeout`` factory
+    # refers back to it); detached, the monitor's per-job state is not.
+    monitor.detach(recorder)
 
     if trace_path is not None:
         from repro.obs.chrome import write_chrome_trace

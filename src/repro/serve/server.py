@@ -1,8 +1,8 @@
 """The serving core: queues, admission control, weighted-fair dispatch.
 
-One :class:`Server` runs as sim processes on the machine's existing
-engine.  The moving parts mirror a production inference/serving stack,
-scaled down to the paper's node:
+One :class:`Server` runs on the machine's existing engine.  The moving
+parts mirror a production inference/serving stack, scaled down to the
+paper's node:
 
 * **Admission** — :meth:`Server.submit` either enqueues the job on its
   tenant's FIFO queue (``job_admitted``) or sheds it with a typed
@@ -22,7 +22,13 @@ scaled down to the paper's node:
   acquires every participating device front *in device order* — one
   cooperative run per front at a time, exactly how the real runtime owns
   the devices — while other jobs' host/DMA stages proceed underneath),
-  then per-device D2H DMA.  Stage durations come from the job's
+  then per-device D2H DMA.  Every stage's duration is known when it
+  starts, so a job is not a process: it is a :class:`_JobRun` whose
+  stages chain as :meth:`~repro.sim.core.Engine.call_in_ticks`
+  callbacks, plus callbacks on the lane/front requests and stall waits
+  it blocks on.  Processes stay where a coroutine reads better: the
+  dispatcher, the arrival generators and closed-loop clients.  Stage
+  durations come from the job's
   :class:`~repro.serve.profile.AppProfile`; device health is consulted
   live, so losses shrink the surviving work share, stalls park the
   compute stage, link degradation stretches DMA and injected transfer
@@ -229,105 +235,11 @@ class Server:
             record.started_ticks = engine.now_ticks
             engine.trace("job_started", job_id=job.job_id, tenant=job.tenant,
                          app=job.app, inflight=self._inflight)
-            engine.process(self._job_pipeline(record),
-                           name=f"serve:job{job.job_id}")
+            engine.call_in_ticks(0, _JobRun(self, record).start)
 
     # -- job execution pipeline ----------------------------------------------
     def _alive_devices(self):
         return [d for d in self.platform.devices if not d.health.lost]
-
-    def _dma(self, device, direction: str, nbytes: int):
-        """One DMA stage on ``device``'s ``h2d``/``d2h`` lane, honouring
-        injected transfer faults with the runtime's bounded retry policy."""
-        engine = self.engine
-        lane = getattr(device, direction)
-        request = lane.request()
-        yield request
-        try:
-            attempt = 0
-            while not device.health.lost:
-                if device.health.take_transfer_fault(direction):
-                    attempt += 1
-                    device.health.transfer_retries += 1
-                    engine.trace("fault_retry", kind="transfer",
-                                 device=device.name, direction=direction,
-                                 attempt=attempt)
-                    if attempt > device.health.max_transfer_retries:
-                        device.health.declare_lost(
-                            f"{direction} retries exhausted")
-                        break
-                    yield engine.timeout(
-                        device.health.retry_backoff * (2 ** (attempt - 1)))
-                    continue
-                yield engine.timeout(device.transfer_time(nbytes))
-                device.stats[f"bytes_{direction}"] += nbytes
-                device.health.beat()
-                break
-        finally:
-            lane.release(request)
-
-    def _job_pipeline(self, record: JobRecord):
-        engine = self.engine
-        job = record.job
-        profile = self.profiles[(job.app, job.size)]
-        try:
-            # Host stage: overlappable preparation (API calls, scheduling).
-            if profile.host_seconds > 0.0:
-                yield engine.timeout_ticks(
-                    engine.delay_ticks(profile.host_seconds))
-            # H2D DMA to every live device, concurrently; each device's
-            # lane serializes its own transfers across jobs.
-            transfers = [
-                engine.process(
-                    self._dma(d, "h2d", profile.h2d_bytes.get(d.name, 0)),
-                    name=f"serve:h2d:{job.job_id}")
-                for d in self._alive_devices()
-                if profile.h2d_bytes.get(d.name, 0) > 0
-            ]
-            if transfers:
-                yield engine.all_of(transfers)
-            # Cooperative compute: own every participating front, in fixed
-            # device order (deadlock-free), one cooperative run at a time
-            # per front.  BackgroundLoad and serve jobs contend on the same
-            # per-device compute resources.
-            held = []
-            try:
-                for device in self._alive_devices():
-                    request = device.compute.request()
-                    yield request
-                    held.append((device, request))
-                alive = []
-                for device, _request in held:
-                    lost = yield from device.health.wait_ready()
-                    if not lost:
-                        alive.append(device)
-                scale = profile.compute_scale(
-                    tuple(d.name for d in alive))
-                if not alive or scale <= 0.0:
-                    self._finish_job(record, "failed")
-                    return
-                duration = profile.compute_seconds / scale
-                yield engine.timeout_ticks(engine.delay_ticks(duration))
-                for device in alive:
-                    device.stats["busy_compute_time"] += duration
-                    device.health.beat()
-            finally:
-                for device, request in held:
-                    device.compute.release(request)
-            # D2H DMA of the results.
-            transfers = [
-                engine.process(
-                    self._dma(d, "d2h", profile.d2h_bytes.get(d.name, 0)),
-                    name=f"serve:d2h:{job.job_id}")
-                for d in self._alive_devices()
-                if profile.d2h_bytes.get(d.name, 0) > 0
-            ]
-            if transfers:
-                yield engine.all_of(transfers)
-            self._finish_job(record, "done")
-        except Exception:
-            self._finish_job(record, "failed")
-            raise
 
     def _finish_job(self, record: JobRecord, outcome: str) -> None:
         engine = self.engine
@@ -352,4 +264,189 @@ class Server:
         self._inflight -= 1
         self._slot_free.fire(self._inflight)
         if record.done_event is not None:
-            record.done_event.succeed(record)
+            # no value: a record-valued event would be a reference cycle
+            # (record -> event -> record), left to the cyclic GC
+            record.done_event.succeed()
+
+
+def _noop() -> None:
+    pass
+
+
+class _JobRun:
+    """One dispatched job's stages, run as a chain of calendar callbacks.
+
+    Each stage's duration is known when it starts, so each hop is one
+    :meth:`~repro.sim.core.Engine.call_in_ticks` push, or a callback on
+    the resource request or stall wait the stage blocks on.
+    """
+
+    __slots__ = ("server", "record", "profile", "_then", "_pending",
+                 "_todo", "_held", "_alive", "_duration")
+
+    def __init__(self, server: Server, record: JobRecord):
+        self.server = server
+        self.record = record
+        job = record.job
+        self.profile = server.profiles[(job.app, job.size)]
+
+    def start(self) -> None:
+        # Host stage: overlappable preparation (API calls, scheduling).
+        host = self.profile.host_seconds
+        if host > 0.0:
+            engine = self.server.engine
+            engine.call_in_ticks(engine.delay_ticks(host), self._h2d)
+        else:
+            self._h2d()
+
+    def _h2d(self) -> None:
+        self._transfer("h2d", self.profile.h2d_bytes, self._acquire_fronts)
+
+    def _transfer(self, direction: str, nbytes: Mapping[str, int],
+                  then) -> None:
+        """DMA to (or from) every live device concurrently, then ``then()``
+        one hop after the last transfer ends; each device's lane
+        serializes its own transfers across jobs."""
+        dmas = [_Dma(self, device, direction, nbytes[device.name])
+                for device in self.server._alive_devices()
+                if nbytes.get(device.name, 0) > 0]
+        if not dmas:
+            then()
+            return
+        self._then = then
+        self._pending = len(dmas)
+        call = self.server.engine.call_in_ticks
+        for dma in dmas:
+            call(0, dma.start)
+
+    def _dma_done(self) -> None:
+        self._pending -= 1
+        if self._pending == 0:
+            # hand the continuation over: kept here, a bound method of
+            # this run would make the run a reference cycle
+            then, self._then = self._then, None
+            self.server.engine.call_in_ticks(0, then)
+
+    def _acquire_fronts(self) -> None:
+        # Cooperative compute: own every participating front, in fixed
+        # device order (deadlock-free), one cooperative run at a time per
+        # front.  BackgroundLoad and serve jobs contend on the same
+        # per-device compute resources.
+        self._todo = self.server._alive_devices()
+        self._held = []
+        self._acquire_next()
+
+    def _acquire_next(self, _granted=None) -> None:
+        if self._todo:
+            device = self._todo.pop(0)
+            request = device.compute.request()
+            self._held.append((device, request))
+            request.add_callback(self._acquire_next)
+            return
+        self._todo = [device for device, _request in self._held]
+        self._alive = []
+        self._await_ready()
+
+    def _await_ready(self, _woken=None) -> None:
+        """Wait out each held front's stall in turn; fronts lost
+        meanwhile drop out of the run."""
+        todo = self._todo
+        while todo:
+            health = todo[0].health
+            wait = health.stall_wait()
+            if wait is not None:
+                wait.add_callback(self._await_ready)
+                return
+            device = todo.pop(0)
+            if not health.lost:
+                self._alive.append(device)
+        self._compute()
+
+    def _compute(self) -> None:
+        alive = self._alive
+        profile = self.profile
+        scale = profile.compute_scale(tuple(d.name for d in alive))
+        if not alive or scale <= 0.0:
+            self.server._finish_job(self.record, "failed")
+            self._release_fronts()
+            self._end()
+            return
+        self._duration = profile.compute_seconds / scale
+        engine = self.server.engine
+        engine.call_in_ticks(engine.delay_ticks(self._duration),
+                             self._computed)
+
+    def _computed(self) -> None:
+        duration = self._duration
+        for device in self._alive:
+            device.stats["busy_compute_time"] += duration
+            device.health.beat()
+        self._release_fronts()
+        # D2H DMA of the results.
+        self._transfer("d2h", self.profile.d2h_bytes, self._done)
+
+    def _release_fronts(self) -> None:
+        for device, request in self._held:
+            device.compute.release(request)
+
+    def _done(self) -> None:
+        self.server._finish_job(self.record, "done")
+        self._end()
+
+    def _end(self) -> None:
+        # One last no-op hop where a job process's own completion event
+        # stood: under interleave jitter every push draws a tie-break, and
+        # keeping this one keeps jittered schedules as they were.
+        self.server.engine.call_in_ticks(0, _noop)
+
+
+class _Dma:
+    """One DMA stage on ``device``'s ``h2d``/``d2h`` lane, honouring
+    injected transfer faults with the runtime's bounded retry policy."""
+
+    __slots__ = ("run", "device", "direction", "nbytes", "request",
+                 "attempt")
+
+    def __init__(self, run: _JobRun, device, direction: str, nbytes: int):
+        self.run = run
+        self.device = device
+        self.direction = direction
+        self.nbytes = nbytes
+        self.attempt = 0
+
+    def start(self) -> None:
+        self.request = getattr(self.device, self.direction).request()
+        self.request.add_callback(self._attempt)
+
+    def _attempt(self, _granted=None) -> None:
+        device = self.device
+        health = device.health
+        engine = self.run.server.engine
+        if not health.lost:
+            if not health.take_transfer_fault(self.direction):
+                engine.call_in_ticks(
+                    engine.delay_ticks(device.transfer_time(self.nbytes)),
+                    self._transferred)
+                return
+            self.attempt += 1
+            health.transfer_retries += 1
+            engine.trace("fault_retry", kind="transfer", device=device.name,
+                         direction=self.direction, attempt=self.attempt)
+            if self.attempt <= health.max_transfer_retries:
+                engine.call_in_ticks(
+                    engine.delay_ticks(
+                        health.retry_backoff * (2 ** (self.attempt - 1))),
+                    self._attempt)
+                return
+            health.declare_lost(f"{self.direction} retries exhausted")
+        self._release()
+
+    def _transferred(self) -> None:
+        device = self.device
+        device.stats[f"bytes_{self.direction}"] += self.nbytes
+        device.health.beat()
+        self._release()
+
+    def _release(self) -> None:
+        getattr(self.device, self.direction).release(self.request)
+        self.run.server.engine.call_in_ticks(0, self.run._dma_done)

@@ -11,6 +11,9 @@ implemented from scratch so the repository is self-contained:
 * :class:`~repro.sim.core.Event` — one-shot occurrence carrying a value.
 * :class:`~repro.sim.core.Process` — a generator that ``yield``\\ s events to
   suspend until they trigger.
+* :meth:`~repro.sim.core.Engine.call_in_ticks` — a bare callback on the same
+  calendar, for a step whose duration is known when it starts (no event,
+  no process).
 * :class:`~repro.sim.resources.Resource` — counted resource (e.g. a DMA
   engine has capacity 1, a CPU has one slot per hardware thread).
 * :class:`~repro.sim.resources.Channel` — FIFO mailbox between processes.

@@ -31,6 +31,13 @@ if TYPE_CHECKING:
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
+#: memoized float-delay -> tick conversions, shared by every engine (the
+#: conversion is pure; bounded, since delays repeat).  Shared rather than
+#: per engine, a finished engine (freed only by the cyclic GC: its
+#: ``timeout`` factory refers back to it) does not hold a memo of its own.
+_TICK_CACHE: dict = {}
+_TICK_CACHE_MAX = 4096
+
 __all__ = [
     "SimError",
     "SimDeadlockError",
@@ -91,6 +98,19 @@ _PHASE_MAX = int(Phase.TRACE)
 def _take_jittered(bucket: list) -> "Event":
     """Pop the lowest ``(tie, seq)`` entry off a jittered bucket."""
     return _heappop(bucket)[2]
+
+
+class _Call:
+    """A calendar entry that runs ``fn()`` when drained: no event state.
+
+    The drain loops call ``entry._process()``; here that slot *is* the
+    callback, so running it costs no frame beyond ``fn`` itself.
+    """
+
+    __slots__ = ("_process",)
+
+    def __init__(self, fn: Callable[[], None]):
+        self._process = fn
 
 
 class Event:
@@ -220,7 +240,7 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
         # The engine's highest-volume allocation: fields are stored directly
         # (no super().__init__ chain), the queue push is inlined, and
-        # delay->tick conversions are memoized on the engine.
+        # delay->tick conversions are memoized (module-level _TICK_CACHE).
         self.engine = engine
         self.callbacks = None
         self._value = value
@@ -232,11 +252,11 @@ class Timeout(Event):
                     raise ValueError(f"negative timeout delay: {delay}")
                 dt = 0
             else:
-                cache = engine._tick_cache
+                cache = _TICK_CACHE
                 dt = cache.get(delay)
                 if dt is None:
                     dt = to_ticks(delay)
-                    if len(cache) < 4096:
+                    if len(cache) < _TICK_CACHE_MAX:
                         cache[delay] = dt
         else:
             dt = 0
@@ -381,12 +401,20 @@ class Process(Event):
         target.add_callback(self._resume_cb)
 
     def _finish(self, value: Any, ok: bool) -> None:
+        # Drop every reference back to this process (the bound wakeup
+        # callback, the event it last waited on), so a finished process is
+        # freed by reference counting instead of waiting for the cyclic GC.
         self._generator = None
+        self._resume_cb = None
+        self._waiting_on = None
         if ok:
             self.succeed(value)
         else:
             if isinstance(value, Interrupt):
-                # An uncaught interrupt terminates the process cleanly.
+                # An uncaught interrupt terminates the process cleanly.  Its
+                # traceback holds the frames that threw it (and so this
+                # process): drop it, or only the cyclic GC frees them.
+                value.__traceback__ = None
                 self.succeed(None)
             else:
                 self.fail(value)
@@ -483,6 +511,11 @@ class Engine:
     structural); with jitter it is a heap of ``(tie, seq, event)``
     entries, one seeded draw per push.  Either way the drain order is
     the global ``(key, tie, seq)`` order.
+
+    Two kinds of entry share the calendar: triggered :class:`Event` s
+    (whose callbacks wake processes) and the bare callbacks of
+    :meth:`call_in_ticks`, for steps whose duration is known when they
+    start.
     """
 
     def __init__(self, tracer: Optional["EventRecorder"] = None):
@@ -500,8 +533,6 @@ class Engine:
         self._take = deque.popleft
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
-        #: memoized float-delay -> tick conversions (bounded; delays repeat)
-        self._tick_cache: dict = {}
         self.tracer = tracer
         #: if True, a process failing with no observers does not raise
         #: immediately (useful in tests that assert on failure later).
@@ -528,11 +559,11 @@ class Engine:
 
     def delay_ticks(self, delay: float) -> int:
         """Exact tick count of a float delay (memoized; clamps float noise)."""
-        cache = self._tick_cache
+        cache = _TICK_CACHE
         dt = cache.get(delay)
         if dt is None:
             dt = delay_to_ticks(delay)
-            if len(cache) < 4096:
+            if len(cache) < _TICK_CACHE_MAX:
                 cache[delay] = dt
         return dt
 
@@ -546,6 +577,20 @@ class Engine:
     def timeout_ticks(self, delay_ticks: int, value: Any = None) -> Timeout:
         """A timeout with an exact integer-tick delay (no float boundary)."""
         return Timeout._at_ticks(self, delay_ticks, value)
+
+    def call_in_ticks(self, delay_ticks: int, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` ``delay_ticks`` from now, at the ``WAKE`` phase.
+
+        The callback-first counterpart of ``yield engine.timeout_ticks(d)``:
+        one calendar push under the same ``(instant, phase)`` key and the
+        same FIFO tie (or one jitter draw), but no :class:`Timeout`, no
+        callback list and no generator resume.  Use it for a step whose
+        duration is known when it starts; nothing can wait on the call.
+        """
+        if delay_ticks < 0:
+            raise ValueError(f"negative call delay: {delay_ticks} ticks")
+        self._push((self._now_ticks + delay_ticks) << _PHASE_BITS
+                   | _PHASE_WAKE, _Call(fn))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -645,8 +690,12 @@ class Engine:
             return None
         return key >> _PHASE_BITS
 
-    def step(self) -> Event:
-        """Process one event, advancing the clock."""
+    def step(self) -> Any:
+        """Process one calendar entry, advancing the clock; returns it.
+
+        The entry is an :class:`Event`, or the opaque callback entry of a
+        :meth:`call_in_ticks` call.
+        """
         key = self._head_key()
         if key is None:
             raise SimDeadlockError("no scheduled events")

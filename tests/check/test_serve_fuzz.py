@@ -1,5 +1,6 @@
 """Tests for the fuzzer's serving axis (--serve) and its shrinker hooks."""
 
+import hashlib
 from dataclasses import replace
 
 from repro.check import FuzzConfig, reproducer_source, run_config, shrink
@@ -54,6 +55,21 @@ class TestServeAxis:
         assert any(c.fault_seed is not None for c in configs)
         assert any(c.jitter_seed is not None for c in configs)
         assert any(c.utilization > 1.0 for c in configs)  # overload included
+
+    def test_nine_seeds_cover_arrival_by_machine_on_three_presets(self):
+        presets = ("default", "cpu+2gpu", "big.little")
+        configs = ScheduleFuzzer(serve=True, machines=presets).configs(9)
+        pairs = {(c.serve.arrival, c.serve.machine) for c in configs}
+        assert pairs == {(a, m) for a in ("poisson", "burst", "closed")
+                         for m in presets}
+        assert all(c.machine == c.serve.machine for c in configs)
+
+    def test_one_preset_draws_are_unchanged(self):
+        # sha256 of repr(configs(300)) before the machine axis was crossed
+        # with the arrival axis: one preset must draw exactly as before
+        configs = ScheduleFuzzer(serve=True).configs(300)
+        assert hashlib.sha256(repr(configs).encode()).hexdigest() == (
+            "9df1456e6eca3b8e90b31f04f42e42a02fda10d490dbb9103fe966f080d29be9")
 
     def test_describe_mentions_the_serve_shape(self):
         config = ScheduleFuzzer(serve=True).config(0)

@@ -1,9 +1,13 @@
 """End-to-end serving scenarios: ServeConfig -> run_serve -> ServeReport."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
+import repro.serve.run as serve_run
+from repro.serve.job import JobRejected
 from repro.serve.run import ServeConfig, run_serve
 from repro.serve.workload import TenantSpec
 
@@ -98,3 +102,46 @@ class TestRunServe:
         run_serve(small(requests=20), trace_path=str(path))
         events = json.loads(path.read_text())["traceEvents"]
         assert any(e.get("name") == "job_done" for e in events)
+
+
+class TestFreedByRefcount:
+    """A finished run is freed by reference counting alone: the server
+    and its job records sit on no reference cycle the cyclic GC would
+    have to find."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(arrival="poisson"),
+        dict(arrival="closed", jitter_seed=3),
+        dict(arrival="burst", fault_seed=2, fault_n=4, max_queue_depth=2),
+    ], ids=["poisson", "closed-jitter", "burst-faults-shed"])
+    def test_server_and_records_die_with_the_run(self, monkeypatch,
+                                                 overrides):
+        config = small(**overrides)
+        run_serve(config)  # measure (and cache) the profiles first
+        refs = []
+
+        class Watched(serve_run.Server):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+            def submit(self, job):
+                try:
+                    record = super().submit(job)
+                except JobRejected as rejection:
+                    refs.append(weakref.ref(rejection.record))
+                    raise
+                refs.append(weakref.ref(record))
+                return record
+
+        monkeypatch.setattr(serve_run, "Server", Watched)
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_serve(config)
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert report.totals["submitted"] == config.requests
+        assert len(refs) == config.requests + 1
+        assert alive == []

@@ -1,8 +1,23 @@
 """Unit tests for the discrete-event engine core."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.sim.core import Interrupt, SimDeadlockError, SimError
+from repro.sim.core import (Event, Interrupt, Phase, Process,
+                            SimDeadlockError, SimError)
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects while the test runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class TestEvent:
@@ -217,6 +232,68 @@ class TestProcess:
         assert process.is_alive
         engine.run(process)
         assert not process.is_alive
+
+
+    @pytest.mark.parametrize("ending", ["return", "interrupt"])
+    def test_finished_process_frees_by_refcount(self, engine, no_cyclic_gc,
+                                                ending):
+        class Watched(Process):
+            __slots__ = ("__weakref__",)
+
+        def proc():
+            yield engine.timeout(10)
+
+        process = Watched(engine, proc())
+        if ending == "interrupt":
+            engine.run(2)
+            process.interrupt()
+        engine.run()
+        assert process.triggered
+        ref = weakref.ref(process)
+        del process
+        assert ref() is None
+
+
+class TestCallInTicks:
+    def test_runs_after_the_delay(self, engine):
+        log = []
+        engine.call_in_ticks(engine.delay_ticks(3e-6),
+                             lambda: log.append(engine.now))
+        engine.run()
+        assert log == [3e-6]
+
+    def test_negative_delay_rejected(self, engine):
+        with pytest.raises(ValueError):
+            engine.call_in_ticks(-1, lambda: None)
+        with pytest.raises(ValueError):
+            engine.timeout_ticks(-1)
+
+    def test_wakes_after_completions_and_before_launches(self, engine):
+        log = []
+        for phase, label in ((Phase.LAUNCH, "launch"),
+                             (Phase.COMPLETE, "complete")):
+            kind = type(f"_{phase.name}Event", (Event,), {"phase": phase})
+            event = kind(engine)
+            event.add_callback(lambda _e, label=label: log.append(label))
+            event.succeed()
+        engine.call_in_ticks(0, lambda: log.append("call"))
+        engine.run()
+        assert log == ["complete", "call", "launch"]
+
+    def test_shares_the_fifo_tie_with_timeouts(self, engine):
+        log = []
+        engine.timeout(0).add_callback(lambda _e: log.append("t0"))
+        engine.call_in_ticks(0, lambda: log.append("call"))
+        engine.timeout_ticks(0).add_callback(lambda _e: log.append("t1"))
+        engine.run()
+        assert log == ["t0", "call", "t1"]
+
+    def test_step_returns_the_callback_entry(self, engine):
+        log = []
+        engine.call_in_ticks(0, lambda: log.append("ran"))
+        entry = engine.step()
+        assert log == ["ran"]
+        assert not isinstance(entry, Event)
 
 
 class TestConditions:

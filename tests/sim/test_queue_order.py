@@ -1,6 +1,7 @@
 """Property test: the engine drains in one global ``(key, tie, seq)`` order.
 
-Random schedules — zero and repeated delays, all four phases, and
+Random schedules — zero and repeated delays, all four phases, every
+push path (events, timeouts, bare ``call_in_ticks`` callbacks), and
 same-instant pushes made from callbacks while the queue drains — run on
 the real :class:`Engine` and on a reference model kept here: one global
 ``heapq`` of ``(key, tie, seq)`` with ``key = ticks << 2 | phase``, one
@@ -25,14 +26,18 @@ _KINDS = {int(phase): type(f"_{phase.name.title()}Event", (Event,),
                            {"phase": phase, "__slots__": ()})
           for phase in Phase}
 
+#: how a WAKE-phase node is pushed: a triggered event, a float or tick
+#: timeout, or a bare ``call_in_ticks`` callback
+_PATHS = ["event", "timeout", "ticks", "call"]
+
 # (delay in µs, phase, push path, children pushed from the callback)
 _DELAYS = st.sampled_from([0, 0, 0, 1, 1, 2, 5])
 _LEAF = st.tuples(_DELAYS, st.integers(0, 3),
-                  st.sampled_from(["event", "timeout", "ticks"]), st.just(()))
+                  st.sampled_from(_PATHS), st.just(()))
 _TREE = st.recursive(
     _LEAF,
     lambda kids: st.tuples(_DELAYS, st.integers(0, 3),
-                           st.sampled_from(["event", "timeout", "ticks"]),
+                           st.sampled_from(_PATHS),
                            st.lists(kids, max_size=4).map(tuple)),
     max_leaves=24,
 )
@@ -53,7 +58,9 @@ def _reference_order(engine, schedule, seed):
     now = 0
 
     def push(nodes):
-        for label, d, phase, _via, kids in nodes:
+        for label, d, phase, via, kids in nodes:
+            if via == "call":
+                phase = int(Phase.WAKE)  # a bare callback always wakes
             key = (now + engine.delay_ticks(d * _US)) << 2 | phase
             tie = rng.random() if rng is not None else 0
             heapq.heappush(heap, (key, tie, next(seq), label, kids))
@@ -75,6 +82,12 @@ def _engine_order(schedule, seed, drive):
 
     def push(nodes):
         for label, d, phase, via, kids in nodes:
+            if via == "call":
+                engine.call_in_ticks(
+                    engine.delay_ticks(d * _US),
+                    lambda label=label, kids=kids: (order.append(label),
+                                                    push(kids)))
+                continue
             if phase == Phase.WAKE and via == "timeout":
                 event = engine.timeout(d * _US)
             elif phase == Phase.WAKE and via == "ticks":
